@@ -494,13 +494,13 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 def _cmd_serve(args: argparse.Namespace) -> int:
     """Long-lived simulation service over the sweep substrate: memoized
     answers from the shared result cache, request coalescing, admission
-    control, and the PR 9 supervised pool doing the execution."""
+    control, and the shared supervised worker pool doing the execution."""
     import asyncio
 
     from repro.service.admission import AdmissionPolicy
-    from repro.service.pool import ServicePool
     from repro.service.server import ServiceServer, SimulationService
     from repro.sweep.cache import ResultCache
+    from repro.sweep.pool import WorkerPool
     from repro.telemetry import Telemetry
 
     if args.workers < 1:
@@ -509,7 +509,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     cache = ResultCache(str(args.cache_dir))
     telemetry = Telemetry(TelemetryConfig(metrics=True))
     ledger = _open_ledger(args)
-    pool = ServicePool(
+    pool = WorkerPool(
         cache,
         workers=args.workers,
         telemetry=telemetry,

@@ -210,6 +210,19 @@ def shard_path(directory, index: int, key: str) -> Path:
     return Path(directory) / f"shard-{index:06d}-{key[:16]}.jsonl"
 
 
+def merge_shard(path, ledger: RunLedger) -> int:
+    """Fold one finished job's shard file into ``ledger`` and delete it;
+    returns the number of event lines merged (0 when there is none)."""
+    path = Path(path)
+    try:
+        lines = path.read_text(encoding="utf-8").splitlines()
+    except FileNotFoundError:
+        return 0
+    ledger.append_raw(lines)
+    path.unlink()
+    return sum(1 for ln in lines if ln.strip())
+
+
 def merge_shards(directory, ledger: RunLedger) -> int:
     """Fold every ``shard-*.jsonl`` under ``directory`` into ``ledger``
     in ascending job-index order (the lexicographic order of the
@@ -217,13 +230,10 @@ def merge_shards(directory, ledger: RunLedger) -> int:
     event lines merged.  Deterministic: independent of pool completion
     order because merging happens after the drain, from sorted names.
     """
-    merged = 0
-    for shard in sorted(Path(directory).glob("shard-*.jsonl")):
-        lines = shard.read_text(encoding="utf-8").splitlines()
-        ledger.append_raw(lines)
-        merged += sum(1 for ln in lines if ln.strip())
-        shard.unlink()
-    return merged
+    return sum(
+        merge_shard(shard, ledger)
+        for shard in sorted(Path(directory).glob("shard-*.jsonl"))
+    )
 
 
 def read_events(path) -> List[Dict[str, Any]]:

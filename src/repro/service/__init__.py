@@ -13,9 +13,10 @@ service instead of a per-invocation CLI:
   and per-tenant token-bucket quotas (429/503 + Retry-After);
 - :mod:`~repro.service.coalesce` — identical in-flight keys share one
   execution; every waiter's answer comes from the leader's future;
-- :mod:`~repro.service.pool` — the PR 9 supervised worker pool rebuilt
-  as a stream consumer: priority heap, wakeup pipe, lease-bumped
-  requeue after worker death, poison-job quarantine;
+- execution goes to :class:`~repro.sweep.pool.WorkerPool`, the one
+  supervised pool (priority heap, lease-bumped requeue after worker
+  death, poison-job quarantine) that sweeps use too — the service is
+  its streaming client, one submission per leader request;
 - :mod:`~repro.service.server` — hand-rolled asyncio HTTP/1.1 server
   (stdlib only): ``POST /v1/simulate``, ``POST /v1/sweep``,
   ``GET /healthz``, ``GET /v1/stats``, ``GET /metrics``,
@@ -36,11 +37,6 @@ from repro.service.admission import (
 )
 from repro.service.client import ServiceClient, ServiceError
 from repro.service.coalesce import Coalescer
-from repro.service.pool import (
-    ServiceExecutionError,
-    ServicePool,
-    ServiceQuarantined,
-)
 from repro.service.server import (
     Reply,
     ServiceServer,
@@ -61,9 +57,6 @@ __all__ = [
     "Reply",
     "ServiceClient",
     "ServiceError",
-    "ServiceExecutionError",
-    "ServicePool",
-    "ServiceQuarantined",
     "ServiceServer",
     "SimulationService",
     "TokenBucket",

@@ -56,11 +56,6 @@ from repro.service.admission import (
     AdmissionPolicy,
 )
 from repro.service.coalesce import Coalescer
-from repro.service.pool import (
-    ServiceExecutionError,
-    ServicePool,
-    ServiceQuarantined,
-)
 from repro.service.simulate import (
     RUN_POINT_FIELDS,
     request_point,
@@ -69,6 +64,7 @@ from repro.service.simulate import (
     to_plain,
 )
 from repro.sweep.cache import ResultCache
+from repro.sweep.pool import JobExecutionError, JobQuarantined, WorkerPool
 from repro.telemetry import ensure
 
 SERVICE_SCHEMA_VERSION = 1
@@ -103,7 +99,7 @@ class SimulationService:
     def __init__(
         self,
         cache: ResultCache,
-        pool: ServicePool,
+        pool: WorkerPool,
         policy: Optional[AdmissionPolicy] = None,
         telemetry=None,
         ledger=None,
@@ -206,18 +202,23 @@ class SimulationService:
             spec, run_cell, priority=priority
         )
         pool_future.add_done_callback(
-            self._make_leader_callback(key)
+            self._make_leader_callback(spec)
         )
         return PendingReply(
             entry.future, key, point, tenant, priority,
             is_leader=True, t0=t0,
         )
 
-    def _make_leader_callback(self, key: str):
+    def _make_leader_callback(self, spec):
         """Fan the pool's outcome out to every coalesced waiter and
         return the admission slot.  Runs on the pool dispatcher thread;
-        Coalescer and AdmissionController are thread-safe."""
+        Coalescer and AdmissionController are thread-safe.  The job's
+        ledger shard is merged first, so a waiter that reads the ledger
+        after its answer finds the execution events."""
+        key = spec.key
+
         def _done(fut) -> None:
+            self.pool.merge_ledger(spec)
             self.admission.release()
             exc = fut.exception()
             if exc is not None:
@@ -262,7 +263,7 @@ class SimulationService:
 
     def _serve_error(self, pending: PendingReply,
                      exc: BaseException) -> Reply:
-        if isinstance(exc, ServiceQuarantined):
+        if isinstance(exc, JobQuarantined):
             self._emit("failed", key=pending.key,
                        tenant=pending.tenant, code=503,
                        reason=str(exc))
@@ -271,7 +272,7 @@ class SimulationService:
                 "key": pending.key,
                 "quarantine_manifest": exc.manifest_path,
             })
-        code = 500 if isinstance(exc, ServiceExecutionError) else 502
+        code = 500 if isinstance(exc, JobExecutionError) else 502
         self._emit("failed", key=pending.key, tenant=pending.tenant,
                    code=code, reason=str(exc))
         return Reply(code, {"error": str(exc), "key": pending.key})

@@ -20,7 +20,7 @@ from repro.cli import main
 from repro.obs.ledger import RunLedger, read_events
 from repro.service.admission import AdmissionPolicy
 from repro.service.client import ServiceClient
-from repro.service.pool import ServicePool
+from repro.sweep.pool import WorkerPool
 from repro.service.server import (
     PendingReply,
     Reply,
@@ -69,7 +69,7 @@ def _answer(service, body):
 @pytest.fixture()
 def stack(tmp_path):
     cache = ResultCache(str(tmp_path / "cache"))
-    pool = ServicePool(cache, workers=2)
+    pool = WorkerPool(cache, workers=2)
     service = SimulationService(cache, pool, policy=GENEROUS)
     yield cache, pool, service
     pool.close()
@@ -126,7 +126,7 @@ class TestServedBytesEqualCli:
         cache_dir = tmp_path / "shared-cache"
         expected = _cli_run_output(capsys, cache_dir)
         cache = ResultCache(str(cache_dir))
-        pool = ServicePool(cache, workers=1)
+        pool = WorkerPool(cache, workers=1)
         try:
             service = SimulationService(cache, pool, policy=GENEROUS)
             reply = _answer(service, dict(POINT_ARGS))
@@ -149,7 +149,7 @@ class TestCoalescing:
         # One worker; a first key occupies it, so requests for a second
         # key deterministically pile up behind it and coalesce.
         cache = ResultCache(str(tmp_path / "cache"))
-        pool = ServicePool(cache, workers=1)
+        pool = WorkerPool(cache, workers=1)
         try:
             service = SimulationService(cache, pool, policy=GENEROUS)
             blocker = dict(POINT_ARGS)
@@ -198,7 +198,7 @@ class TestConcurrentHttpEndToEnd:
         ledger = RunLedger(
             tmp_path / "ledger" / "service.jsonl", run_id="svc-e2e"
         )
-        pool = ServicePool(
+        pool = WorkerPool(
             cache, workers=4, ledger=ledger,
         )
         service = SimulationService(
@@ -261,7 +261,7 @@ class TestHttpSurface:
 
         cache = ResultCache(str(tmp_path / "cache"))
         telemetry = Telemetry(TelemetryConfig(metrics=True))
-        pool = ServicePool(cache, workers=1, telemetry=telemetry)
+        pool = WorkerPool(cache, workers=1, telemetry=telemetry)
         service = SimulationService(
             cache, pool, policy=GENEROUS, telemetry=telemetry
         )
