@@ -331,11 +331,9 @@ def main(argv=None) -> int:
         args.out = Path(__file__).resolve().parent.parent / name
     reps = 1 if args.smoke else max(1, args.reps)
 
-    # Benchmark under the array replay backend: batched replay was the
-    # Amdahl bottleneck of the vectorized engine (the ~1.9x cap this
-    # headline used to sit at), so the end-to-end speedups now track
-    # generation gains with replay off the critical path.
-    cfg = dataclasses.replace(scaled_config(args.pes), replay="array")
+    # Benchmark under the compiled replay backend, so the end-to-end
+    # speedups track generation gains with replay off the critical path.
+    cfg = dataclasses.replace(scaled_config(args.pes), replay="compiled")
     results = []
     operands = {}
     for name, gen, k, kernel, chunk_nnz in workloads(args.smoke):

@@ -2,15 +2,15 @@
 
 Times the same seeded SDDMM workload end to end twice — once with the
 ledger disabled (the default null writer) and once recording the full
-event stream including the per-partition replay dispatch audit — and
+event stream (run lifecycle plus one phase-split event per epoch) — and
 asserts three things:
 
 * **parity** — outputs, simulated time, stats, and counters are
   bit-identical with the recorder on and off (observability must never
   perturb the simulation);
-* **coverage** — the enabled run's ledger is schema-valid and its
-  dispatch audit is non-empty, while the disabled run records zero
-  events and writes no file;
+* **coverage** — the enabled run's ledger is schema-valid and records
+  every epoch, while the disabled run records zero events and writes
+  no file;
 * **overhead** — the enabled median wall time stays within
   ``--max-overhead`` of the disabled median (3% by default on the full
   1M-access headline; the smoke workload is too small to time stably,
@@ -101,8 +101,7 @@ def main(argv=None) -> int:
     reps = 1 if args.smoke else max(1, args.reps)
     max_overhead = args.max_overhead or (2.0 if args.smoke else 1.03)
 
-    # The BENCH_gen/BENCH_replay headline workload, so the overhead
-    # number is measured exactly where the dispatch audit is busiest.
+    # The BENCH_gen/BENCH_replay headline workload.
     if args.smoke:
         name = "smoke-unif-sddmm"
         a = uniform_random(512, 256, nnz=20_000, seed=11)
@@ -115,7 +114,7 @@ def main(argv=None) -> int:
     rng = np.random.default_rng(7)
     b = rng.random((a.num_rows, k), dtype=np.float32)
     c = rng.random((a.num_cols, k), dtype=np.float32)
-    cfg = dataclasses.replace(scaled_config(args.pes), replay="array")
+    cfg = dataclasses.replace(scaled_config(args.pes), replay="compiled")
 
     ledger_dir = Path(tempfile.mkdtemp(prefix="bench-obs-"))
     try:
@@ -138,15 +137,13 @@ def main(argv=None) -> int:
         assert_parity(off_report, on_report)
 
         events = read_events(ledger.path)
-        dispatch = [e for e in events if e["e"] == "dispatch"]
-        if not dispatch:
+        epochs = [e for e in events if e["e"] == "epoch"]
+        if len(epochs) != len(on_report.result.epoch_timings):
             raise AssertionError(
-                "ledger-on run recorded no dispatch audit events"
+                f"ledger-on run recorded {len(epochs)} epoch events for "
+                f"{len(on_report.result.epoch_timings)} epochs"
             )
-        validate_ledgers([ledger.path], require_dispatch=True)
-        chosen = {}
-        for ev in dispatch:
-            chosen[ev["chosen"]] = chosen.get(ev["chosen"], 0) + 1
+        validate_ledgers([ledger.path])
 
         # Disabled side: the null writer must leave no trace at all.
         off_system = SpadeSystem(cfg, chunk_nnz=chunk_nnz)
@@ -159,7 +156,7 @@ def main(argv=None) -> int:
         print(
             f"{name:22s} off {off_s:.3f}s  on {on_s:.3f}s  "
             f"ratio {ratio:.3f}  events={len(events)} "
-            f"dispatch={len(dispatch)} chosen={chosen}  parity=OK"
+            f"epochs={len(epochs)}  parity=OK"
         )
         if ratio > max_overhead:
             raise AssertionError(
@@ -183,8 +180,7 @@ def main(argv=None) -> int:
             "on_s": round(on_s, 4),
             "overhead_ratio": round(ratio, 4),
             "events": len(events),
-            "dispatch_events": len(dispatch),
-            "dispatch_chosen": chosen,
+            "epoch_events": len(epochs),
             "parity": True,
         }
         write_bench_json(

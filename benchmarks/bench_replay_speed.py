@@ -1,4 +1,4 @@
-"""Replay-speed benchmark: scalar oracle vs batched vs array replay.
+"""Replay-speed benchmark: scalar oracle vs compiled replay.
 
 Captures the exact post-VRF memory trace of seeded SpMM/SDDMM runs
 (the trace is mode-independent — the PE pipeline is deterministic),
@@ -6,20 +6,20 @@ then replays it through fresh :class:`MemorySystem` instances, one per
 replay backend:
 
 * **scalar** — one :meth:`dense_access`/:meth:`stream_access` call per
-  access plus the per-access service-level counter tally, exactly as
-  ``ProcessingElement`` does in ``replay="scalar"`` mode;
-* **batched** — one :meth:`replay_trace` call per PE chunk plus the
+  access into the dict-based oracle caches plus the per-access
+  service-level counter tally, exactly as ``ProcessingElement`` does in
+  ``replay="scalar"`` mode; it is the same-run baseline;
+* **compiled** — one :meth:`replay_trace` call per PE chunk plus the
   ``np.bincount`` tally, exactly as ``ProcessingElement.flush_trace``
-  does in ``replay="batched"`` mode;
-* **array** — the same call shape under ``replay="array"``: whole-
-  partition stack-distance replay (see ``memory/replay_array.py`` and
-  DESIGN.md section 10).
+  does in ``replay="compiled"`` mode: the C cache-cascade kernel over
+  array-backed caches (see ``memory/compiled.py`` and DESIGN.md
+  section 5).
 
 Every run asserts bit-identical per-level tallies, AccessStats, and
-per-level LRU/dirty state across all three backends before timing is
+per-level LRU/dirty state across both backends before timing is
 reported, so the benchmark doubles as an end-to-end parity check.
 Results land in ``BENCH_replay.json`` (see README) to track the perf
-trajectory; the headline is the array backend's replay-only speedup
+trajectory; the headline is the compiled backend's replay-only speedup
 over the scalar oracle on the >= 1M-access workload.
 
 Run from the repo root::
@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import os
 import statistics
 import sys
 import time
@@ -66,9 +67,9 @@ Chunk = Tuple[int, np.ndarray, np.ndarray]
 Tally = Tuple[List[int], List[int], List[int]]
 
 #: (name, matrix generator, k, kernel, replay chunk_nnz).  The chunk
-#: size is a replay-window knob, not a workload property: all backends
+#: size is a replay-window knob, not a workload property: both backends
 #: replay the identical chunk sequence, so parity is unaffected, but
-#: larger windows amortize the array solver's per-call costs.
+#: larger windows amortize the per-call costs.
 Workload = Tuple[str, Callable, int, str, int]
 
 
@@ -129,10 +130,9 @@ def run_scalar(ms: MemorySystem, chunks: List[Chunk]) -> Tally:
     return stores, sparse, dense_r
 
 
-def run_batched(ms: MemorySystem, chunks: List[Chunk]) -> Tally:
+def run_chunked(ms: MemorySystem, chunks: List[Chunk]) -> Tally:
     """Chunked replay: one replay_trace call per chunk + bincount tally
-    (mirrors ``ProcessingElement.flush_trace``).  The backend actually
-    used is whatever ``ms`` was configured with (batched or array)."""
+    (mirrors ``ProcessingElement.flush_trace``)."""
     stores = [0] * _NUM_LEVELS
     sparse = [0] * _NUM_LEVELS
     dense_r = [0] * _NUM_LEVELS
@@ -152,32 +152,29 @@ def run_batched(ms: MemorySystem, chunks: List[Chunk]) -> Tally:
 
 
 def lru_state(ms: MemorySystem):
-    """Order-sensitive snapshot of every LRU structure (insertion order
-    in the dicts IS the LRU order, so plain item lists pin it)."""
+    """Order-sensitive snapshot of every LRU structure, in the snapshot
+    format both cache classes share."""
     return (
-        [[list(s.items()) for s in c._sets] for c in ms.l1s],
-        [[list(s.items()) for s in c._sets] for c in ms.l2s],
-        [list(s.items()) for s in ms.llc._sets],
+        [c.state_dict()["sets"] for c in ms.l1s],
+        [c.state_dict()["sets"] for c in ms.l2s],
+        ms.llc.state_dict()["sets"],
         [list(b._buffer.items()) for b in ms.bbfs],
-        [[list(s.items()) for s in b.victim._sets] for b in ms.bbfs],
+        [b.victim.state_dict()["sets"] for b in ms.bbfs],
         [list(t._tlb.items()) for t in ms.stlbs],
     )
 
 
-def bench_one(
-    cfg_batched, cfg_array, name: str, chunks: List[Chunk], reps: int
-) -> dict:
+MODES = (("scalar", run_scalar), ("compiled", run_chunked))
+
+
+def bench_one(cfg, name: str, chunks: List[Chunk], reps: int) -> dict:
     accesses = sum(len(lines) for _, lines, _ in chunks)
-    times = {"scalar": [], "batched": [], "array": []}
+    times = {mode: [] for mode, _ in MODES}
     systems = {}
     tallies = {}
     for _ in range(reps):
-        for mode, cfg, runner in (
-            ("scalar", cfg_batched, run_scalar),
-            ("batched", cfg_batched, run_batched),
-            ("array", cfg_array, run_batched),
-        ):
-            ms = MemorySystem(cfg)
+        for mode, runner in MODES:
+            ms = MemorySystem(dataclasses.replace(cfg, replay=mode))
             t0 = time.perf_counter()
             tallies[mode] = runner(ms, chunks)
             times[mode].append(time.perf_counter() - t0)
@@ -187,19 +184,17 @@ def bench_one(
         m: dataclasses.asdict(systems[m].collect_stats())
         for m in systems
     }
-    states = {m: lru_state(systems[m]) for m in systems}
-    for mode in ("batched", "array"):
-        assert tallies[mode] == tallies["scalar"], (
-            f"{name}: {mode} per-level tallies diverged"
-        )
-        assert stats[mode] == stats["scalar"], (
-            f"{name}: {mode} AccessStats diverged"
-        )
-        assert states[mode] == states["scalar"], (
-            f"{name}: {mode} LRU state diverged"
-        )
+    assert tallies["compiled"] == tallies["scalar"], (
+        f"{name}: compiled per-level tallies diverged"
+    )
+    assert stats["compiled"] == stats["scalar"], (
+        f"{name}: compiled AccessStats diverged"
+    )
+    assert lru_state(systems["compiled"]) == lru_state(systems["scalar"]), (
+        f"{name}: compiled LRU state diverged"
+    )
 
-    st = systems["array"].collect_stats()
+    st = systems["compiled"].collect_stats()
     # Median of reps: robust to one-off scheduler noise in either
     # direction, unlike min (best case only) or mean (outlier-skewed).
     med = {m: statistics.median(times[m]) for m in times}
@@ -208,13 +203,12 @@ def bench_one(
         "accesses": accesses,
         "chunks": len(chunks),
         "scalar_s": round(med["scalar"], 4),
-        "batched_s": round(med["batched"], 4),
-        "array_s": round(med["array"], 4),
-        "speedup_batched": round(med["scalar"] / med["batched"], 2),
-        "speedup_array": round(med["scalar"] / med["array"], 2),
+        "compiled_s": round(med["compiled"], 4),
+        "speedup_compiled": round(med["scalar"] / med["compiled"], 2),
         "scalar_us_per_access": round(med["scalar"] / accesses * 1e6, 3),
-        "batched_us_per_access": round(med["batched"] / accesses * 1e6, 3),
-        "array_us_per_access": round(med["array"] / accesses * 1e6, 3),
+        "compiled_us_per_access": round(
+            med["compiled"] / accesses * 1e6, 3
+        ),
         "l1_hit_rate": round(st.l1.hit_rate, 4),
         "l2_hit_rate": round(st.l2.hit_rate, 4),
         "parity": True,
@@ -233,16 +227,15 @@ def workloads(quick: bool) -> List[Workload]:
         ]
     return [
         # Headline: >= 1M-access SDDMM whose dense working set is
-        # L1-resident per set — the high-reuse regime SPADE targets,
-        # and the one where the array solver's small-footprint fast
-        # path pays most.  The 32k replay window amortizes the
-        # solver's per-call costs (identical chunks are replayed by
-        # every backend, so parity is chunk-size independent).
+        # L1-resident per set — the high-reuse regime SPADE targets.
+        # The 32k replay window amortizes per-call costs (identical
+        # chunks are replayed by both backends, so parity is chunk-size
+        # independent).
         ("unif-sddmm-1m",
          lambda: uniform_random(8192, 256, nnz=1_000_000, seed=11),
          16, "sddmm", 32768),
-        # The former headline: wide dense operand whose working set is
-        # only L2-resident, so the L1 miss cascade stays hot.
+        # Wide dense operand whose working set is only L2-resident, so
+        # the L1 miss cascade stays hot.
         ("unif-sddmm-1m-wide",
          lambda: uniform_random(8192, 1024, nnz=900_000, seed=11),
          16, "sddmm", DEFAULT_CHUNK_NNZ),
@@ -280,20 +273,19 @@ def main(argv=None) -> int:
         args.out = Path(__file__).resolve().parent.parent / name
     reps = 1 if args.quick else max(1, args.reps)
 
-    cfg_batched = dataclasses.replace(scaled_config(args.pes), replay="batched")
-    cfg_array = dataclasses.replace(scaled_config(args.pes), replay="array")
+    cfg = dataclasses.replace(scaled_config(args.pes), replay="compiled")
     results = []
     rows = workloads(args.quick)
     for name, gen, k, kernel, chunk_nnz in rows:
-        chunks = capture_trace(cfg_batched, gen(), k, kernel, chunk_nnz)
-        row = bench_one(cfg_batched, cfg_array, name, chunks, reps)
+        chunks = capture_trace(cfg, gen(), k, kernel, chunk_nnz)
+        row = bench_one(cfg, name, chunks, reps)
         row["chunk_nnz"] = chunk_nnz
         results.append(row)
         print(
             f"{row['name']:22s} accesses={row['accesses']:>9,d}  "
-            f"scalar {row['scalar_s']:.3f}s  batched {row['batched_s']:.3f}s "
-            f"({row['speedup_batched']:.2f}x)  array {row['array_s']:.3f}s "
-            f"({row['speedup_array']:.2f}x)  parity=OK"
+            f"scalar {row['scalar_s']:.3f}s  compiled "
+            f"{row['compiled_s']:.3f}s ({row['speedup_compiled']:.2f}x)  "
+            f"parity=OK"
         )
 
     payload = {
@@ -303,22 +295,24 @@ def main(argv=None) -> int:
             "pes": args.pes,
             "reps": reps,
             "chunk_nnz": [r["chunk_nnz"] for r in results],
-            "execution": cfg_batched.execution,
-            "replay": ["scalar", "batched", "array"],
+            "execution": cfg.execution,
+            "replay": [mode for mode, _ in MODES],
         },
         "workloads": results,
-        "headline_speedup": results[0]["speedup_array"],
-        "headline_speedup_batched": results[0]["speedup_batched"],
+        "headline_speedup": results[0]["speedup_compiled"],
     }
     write_bench_json(
         args.out, payload,
-        config=cfg_array,
+        config=cfg,
         workload={
             "benchmark": "replay_speed",
             "mode": payload["mode"],
             "workloads": [w[0] for w in rows],
         },
-        extra={"argv": argv if argv is not None else sys.argv[1:]},
+        extra={
+            "argv": argv if argv is not None else sys.argv[1:],
+            "cpu_count": os.cpu_count(),
+        },
     )
     print(f"wrote {args.out}")
     return 0

@@ -32,8 +32,8 @@ from repro.config import (
     ObsConfig,
     ResilienceConfig,
     TelemetryConfig,
+    REPLAY_MODES,
     config_summary,
-    replay_modes,
     scaled_config,
 )
 from repro.core.accelerator import SpadeSystem
@@ -629,9 +629,7 @@ def _cmd_obs_validate(args: argparse.Namespace) -> int:
     from repro.obs import validate_ledgers
 
     try:
-        info = validate_ledgers(
-            args.paths, require_dispatch=args.require_dispatch
-        )
+        info = validate_ledgers(args.paths)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -666,10 +664,12 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--scale", default="small",
                        choices=["tiny", "small", "default", "large"])
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--replay", choices=replay_modes(), default=None,
-                       help="trace-replay backend (default: the config "
-                       "default; all modes are bit-identical, they "
-                       "differ only in host speed)")
+        p.add_argument("--replay", choices=REPLAY_MODES, default=None,
+                       help="memory-hierarchy replay backend: 'compiled' "
+                       "(default; C cache-cascade kernel, falls back to "
+                       "'scalar' when no C compiler is available) or "
+                       "'scalar' (per-access reference oracle); both are "
+                       "bit-identical, they differ only in host speed")
         p.add_argument("--execution", choices=EXECUTION_MODES,
                        default=None,
                        help="PE execution backend (default: the config "
@@ -689,8 +689,8 @@ def build_parser() -> argparse.ArgumentParser:
         grp.add_argument("--ledger", type=Path, default=None,
                          metavar="DIR",
                          help="record a run-ledger flight recording "
-                         "into DIR (JSONL lifecycle events plus the "
-                         "replay dispatch audit; see 'repro obs')")
+                         "into DIR (JSONL lifecycle and per-epoch "
+                         "phase events; see 'repro obs')")
         grp.add_argument("--trace-cache-dir", type=Path, default=None,
                          metavar="DIR",
                          help="content-addressed epoch-trace store: "
@@ -905,9 +905,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     val_p.add_argument("paths", nargs="+", type=Path,
                        help="ledger files or directories of *.jsonl")
-    val_p.add_argument("--require-dispatch", action="store_true",
-                       help="fail unless at least one replay dispatch "
-                       "audit event is present")
     val_p.set_defaults(func=_cmd_obs_validate)
     schema_p = obs_sub.add_parser(
         "schema", help="print the ledger event JSON schema"

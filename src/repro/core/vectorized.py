@@ -37,7 +37,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from repro.config import CACHE_LINE_BYTES
-from repro.memory.replay_array import _radix_argsort
+from repro.sortutil import radix_argsort
 
 _OUT_VALS_PER_LINE = CACHE_LINE_BYTES // 4
 
@@ -470,8 +470,7 @@ def _solve_vrf_epoch(
     ``residents`` is the warm VRF content as ``(line, dirty)`` pairs in
     LRU order (oldest first) — they are prepended as virtual accesses so
     the classic cold-start stack-distance machinery covers the warm
-    cache exactly (same trick as ``replay_array``).  Returns ``None``
-    when a precondition fails (caller must fall back), else::
+    cache exactly.  Returns ``None`` when a precondition fails (caller must fall back), else::
 
         (hits, misses, evictions, eviction_writebacks,
          manager_writebacks, dirty_count, new_tags,
@@ -522,7 +521,7 @@ def _solve_vrf_epoch(
 
     # Chain previous-occurrence pointers: stable sort by line groups
     # equal lines in position order.
-    order = _radix_argsort(all_lines)
+    order = radix_argsort(all_lines)
     sl = all_lines[order]
     same = np.empty(total, dtype=bool)
     same[0] = False
@@ -662,7 +661,7 @@ def _solve_vrf_epoch(
                 pq = pq[keep_q]
                 wlen = wlen[keep_q]
         if ui.size:
-            qord = _radix_argsort(wlen)
+            qord = radix_argsort(wlen)
             wl_sorted = wlen[qord]
             qhit = np.zeros(ui.size, dtype=bool)
             nq = int(ui.size)

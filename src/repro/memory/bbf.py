@@ -28,13 +28,14 @@ class BypassBuffer:
         entries: int,
         victim_config: CacheConfig,
         name: str = "bbf",
+        make_cache=Cache,
     ) -> None:
         if entries < 1:
             raise ValueError("BBF needs at least one entry")
         self.name = name
         self.entries = entries
         self._buffer: Dict[int, bool] = {}  # line -> dirty, LRU-ordered
-        self.victim = Cache(victim_config, name=f"{name}.victim")
+        self.victim = make_cache(victim_config, name=f"{name}.victim")
         self.stream_hits = 0
         self.stream_misses = 0
         self.writebacks = 0
@@ -156,12 +157,6 @@ class BypassBuffer:
         Table 6).
         """
         return self.victim.access(line, is_write)
-
-    def victim_access_many(
-        self, lines: np.ndarray, writes
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Batched :meth:`victim_access` (see :meth:`Cache.access_many`)."""
-        return self.victim.access_many(lines, writes)
 
     # -- maintenance -----------------------------------------------------
 

@@ -4,16 +4,10 @@
   append-only JSONL event writer with monotonic timestamps and run/job
   correlation ids; the shared null object makes disabled runs free.
 - :mod:`~repro.obs.schema`: the typed event taxonomy (run / epoch /
-  checkpoint / retry / degradation / sweep-job / cache-hit / dispatch)
+  checkpoint / retry / degradation / sweep-job / cache-hit / service)
   and its dependency-free validator.
 - :mod:`~repro.obs.report`: ``repro obs report`` aggregation — phase
-  hotspots, cost-model accuracy and misprediction rates per cache
-  level, sweep hit rates, retry/degradation timeline.
-
-The headline consumer is the replay dispatch audit: with a ledger
-attached, ``replay="array"`` records every partition it considers —
-cost-model inputs, predicted cost, chosen backend, measured wall time —
-so the cost model's mispredictions are measurable instead of folklore.
+  hotspots, sweep hit rates, retry/degradation timeline.
 """
 
 from repro.obs.ledger import (

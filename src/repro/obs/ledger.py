@@ -2,10 +2,9 @@
 
 One :class:`RunLedger` records one run's (or one sweep job's) lifecycle
 as a stream of typed events (see :mod:`repro.obs.schema`): what the
-supervisor retried and why, where each epoch's host time went, and —
-the part no counter can reconstruct after the fact — every dispatch
-decision the array replay backend took, with the cost model's inputs
-and prediction next to the measured wall time.
+supervisor retried and why, where each epoch's host time went, and
+what every sweep job and service request went through — the parts no
+counter can reconstruct after the fact.
 
 Design points:
 
@@ -15,7 +14,7 @@ Design points:
   the parent ledger, in job-index order.
 - **Buffered writer**: events accumulate as pre-serialised lines and
   hit the file every ``flush_every`` events (or at close), so the hot
-  dispatch sites pay a dict build + ``json.dumps``, never a syscall.
+  emit sites pay a dict build + ``json.dumps``, never a syscall.
 - **Monotonic timestamps**: ``t`` is ``time.monotonic()`` relative to
   ledger open — immune to wall-clock adjustment, comparable within one
   ledger, and meaningless across ledgers by construction (cross-ledger

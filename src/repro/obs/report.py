@@ -8,10 +8,6 @@ whole directories of either) into a single rollup:
   whole-run wall time, the whole-epoch fused-generation chunk count,
   and the trace-cache hit/miss/store tally when a content-addressed
   trace store was attached;
-- **cost-model accuracy** — per cache level: partitions considered,
-  backend chosen, the misprediction rate (the chosen path measured
-  slower than the model's estimate for the alternative), and the mean
-  relative error of the chosen path's own prediction;
 - **cache/sweep hit rates** — result-cache hits vs executed jobs;
 - **retry/degradation timeline** — every supervisor transition with
   its cause, in recorded order.
@@ -31,20 +27,6 @@ _PHASES = ("gen", "merge", "replay")
 _TRACE_CACHE_BUCKETS = {"hit": "hits", "miss": "misses", "stored": "stored"}
 
 
-def _level_bucket() -> Dict[str, Any]:
-    return {
-        "considered": 0,
-        "chosen": {"array": 0, "dict": 0, "batched": 0},
-        "events": 0,
-        "measured_us": 0.0,
-        "comparable": 0,        # both-sides prediction available
-        "mispredictions": 0,
-        "rel_error_sum": 0.0,
-        "rel_error_n": 0,
-        "bailed": 0,
-    }
-
-
 def aggregate(paths) -> Dict[str, Any]:
     """Fold ledger files/directories into one rollup dict."""
     files = iter_ledger_files(paths)
@@ -61,7 +43,6 @@ def aggregate(paths) -> Dict[str, Any]:
         "checkpoints": {"count": 0, "seconds": 0.0},
         "run_wall_s": 0.0,
         "sim_time_ns": 0.0,
-        "dispatch": {"total": 0, "by_level": {}},
         "sweep": {
             "jobs": 0, "completed": 0, "failed": 0, "cache_hits": 0,
             "requeued": 0, "quarantined": 0,
@@ -76,7 +57,6 @@ def aggregate(paths) -> Dict[str, Any]:
         "timeline": [],
     }
     by_type = agg["events_by_type"]
-    levels: Dict[str, Dict[str, Any]] = agg["dispatch"]["by_level"]
     for path in files:
         for ev in read_events(path):
             agg["events"] += 1
@@ -105,8 +85,6 @@ def aggregate(paths) -> Dict[str, Any]:
                 agg["sim_time_ns"] += ev.get("time_ns") or 0.0
                 if status != "ok":
                     agg["timeline"].append(_timeline_row(ev, path))
-            elif etype == "dispatch":
-                _fold_dispatch(agg, levels, ev)
             elif etype == "sweep_job":
                 status = ev.get("status")
                 if status == "started":
@@ -152,7 +130,7 @@ def aggregate(paths) -> Dict[str, Any]:
             elif etype == "degradation":
                 agg["degradations"] += 1
                 agg["timeline"].append(_timeline_row(ev, path))
-    _finalise(agg, levels)
+    _finalise(agg)
     return agg
 
 
@@ -193,58 +171,7 @@ def _timeline_row(ev: Dict[str, Any], path: Path) -> Dict[str, Any]:
     }
 
 
-def _fold_dispatch(
-    agg: Dict[str, Any],
-    levels: Dict[str, Dict[str, Any]],
-    ev: Dict[str, Any],
-) -> None:
-    agg["dispatch"]["total"] += 1
-    bucket = levels.setdefault(ev.get("level", "?"), _level_bucket())
-    bucket["considered"] += 1
-    chosen = ev.get("chosen", "?")
-    if chosen in bucket["chosen"]:
-        bucket["chosen"][chosen] += 1
-    bucket["events"] += ev.get("events", 0)
-    measured = ev.get("measured_us", 0.0)
-    bucket["measured_us"] += measured
-    if ev.get("bailed"):
-        bucket["bailed"] += 1
-    pred_py = ev.get("predicted_py_us")
-    pred_arr = ev.get("predicted_array_us")
-    # Misprediction: the chosen path measured slower than the model's
-    # estimate for the *alternative* — i.e. the model's own numbers say
-    # the other path would have been the better pick in hindsight.
-    own = pred_arr if chosen == "array" else pred_py
-    alt = pred_py if chosen == "array" else pred_arr
-    if alt is not None:
-        bucket["comparable"] += 1
-        if measured > alt:
-            bucket["mispredictions"] += 1
-    if own is not None and measured > 0:
-        bucket["rel_error_sum"] += abs(measured - own) / measured
-        bucket["rel_error_n"] += 1
-
-
-def _finalise(
-    agg: Dict[str, Any], levels: Dict[str, Dict[str, Any]]
-) -> None:
-    total_comparable = 0
-    total_mispredicted = 0
-    for bucket in levels.values():
-        comp = bucket["comparable"]
-        total_comparable += comp
-        total_mispredicted += bucket["mispredictions"]
-        bucket["misprediction_rate"] = (
-            bucket["mispredictions"] / comp if comp else 0.0
-        )
-        n = bucket.pop("rel_error_n")
-        s = bucket.pop("rel_error_sum")
-        bucket["mean_rel_error"] = s / n if n else 0.0
-    agg["dispatch"]["comparable"] = total_comparable
-    agg["dispatch"]["mispredictions"] = total_mispredicted
-    agg["dispatch"]["misprediction_rate"] = (
-        total_mispredicted / total_comparable if total_comparable else 0.0
-    )
+def _finalise(agg: Dict[str, Any]) -> None:
     sweep = agg["sweep"]
     total_jobs = sweep["jobs"] + sweep["cache_hits"]
     sweep["hit_rate"] = (
@@ -311,32 +238,6 @@ def format_report(agg: Dict[str, Any], top: int = 10) -> str:
         )
     lines.append("")
 
-    disp = agg["dispatch"]
-    lines.append(
-        f"replay dispatch audit: {disp['total']} partitions considered, "
-        f"misprediction rate "
-        f"{disp['misprediction_rate']:.1%} "
-        f"({disp['mispredictions']}/{disp['comparable']} comparable)"
-    )
-    if disp["by_level"]:
-        rows = []
-        for level in sorted(disp["by_level"]):
-            b = disp["by_level"][level]
-            c = b["chosen"]
-            rows.append((
-                level, b["considered"],
-                c["array"], c["dict"], c["batched"], b["bailed"],
-                f"{b['misprediction_rate']:.1%}",
-                f"{b['mean_rel_error']:.2f}",
-                f"{b['measured_us'] / 1e3:.2f}",
-            ))
-        lines.append(_table(
-            ("level", "considered", "array", "dict", "batched",
-             "bailed", "mispredict", "rel err", "total ms"),
-            rows,
-        ))
-    lines.append("")
-
     sweep = agg["sweep"]
     if sweep["jobs"] or sweep["cache_hits"]:
         line = (
@@ -386,13 +287,11 @@ def format_report(agg: Dict[str, Any], top: int = 10) -> str:
     return "\n".join(lines)
 
 
-def validate_ledgers(
-    paths, require_dispatch: bool = False
-) -> Dict[str, Any]:
+def validate_ledgers(paths) -> Dict[str, Any]:
     """Validate every event in ``paths`` against the schema; returns
     counts.  Raises :class:`~repro.obs.schema.LedgerSchemaError` on the
     first violation (with file and line context) and :class:`ValueError`
-    when ``require_dispatch`` finds no dispatch events."""
+    when no ledger files are found."""
     from repro.obs.schema import LedgerSchemaError, validate_event
 
     files = iter_ledger_files(paths)
@@ -412,10 +311,4 @@ def validate_ledgers(
                 ) from exc
             counts[ev["e"]] = counts.get(ev["e"], 0) + 1
             total += 1
-    if require_dispatch and not counts.get("dispatch"):
-        raise ValueError(
-            f"no dispatch events found across {len(files)} ledger "
-            f"file(s) ({total} events) — the replay dispatch audit "
-            f"is empty"
-        )
     return {"files": len(files), "events": total, "by_type": counts}

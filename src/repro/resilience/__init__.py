@@ -42,6 +42,7 @@ from repro.resilience.checkpoint import (
 )
 from repro.resilience.supervisor import (
     DEGRADATION_LADDER,
+    REPLAY_LADDER,
     RunOutcome,
     RunSupervisor,
 )
@@ -60,6 +61,7 @@ __all__ = [
     "CheckpointManager",
     "checkpoint_fingerprint",
     "DEGRADATION_LADDER",
+    "REPLAY_LADDER",
     "RunOutcome",
     "RunSupervisor",
 ]

@@ -5,8 +5,8 @@ protection, outermost first:
 
 1. **Degradation ladder** — if the requested backends keep failing,
    step down the execution ladder (pipelined → vectorized → scalar)
-   and the replay ladder (array → batched → scalar, from the config
-   registry) in lock-step, each from its requested rung.  All backend
+   and the replay ladder (compiled → scalar) in lock-step, each from
+   its requested rung.  All backend
    combinations are bit-identical, so degrading changes wall-clock
    time but never results; each step is recorded in the
    ``spade_backend_degradations`` telemetry counter.
@@ -46,6 +46,9 @@ from repro.telemetry import ensure
 
 DEGRADATION_LADDER: Tuple[str, ...] = ("pipelined", "vectorized", "scalar")
 """Backends ordered fastest-first; degradation walks left to right."""
+
+REPLAY_LADDER: Tuple[str, ...] = ("compiled", "scalar")
+"""Replay modes ordered fastest-first, walked alongside the backends."""
 
 
 @dataclass(frozen=True)
@@ -196,15 +199,12 @@ class RunSupervisor:
         padded with its last (most conservative) entry so both bottom
         out together.  Unknown modes pin their ladder to one rung.
         """
-        from repro.config import replay_degradation_ladder
-
         if requested in DEGRADATION_LADDER:
             exe = DEGRADATION_LADDER[DEGRADATION_LADDER.index(requested):]
         else:
             exe = (requested,)
-        replay_full = replay_degradation_ladder()
-        if requested_replay in replay_full:
-            rep = replay_full[replay_full.index(requested_replay):]
+        if requested_replay in REPLAY_LADDER:
+            rep = REPLAY_LADDER[REPLAY_LADDER.index(requested_replay):]
         else:
             rep = (requested_replay,)
         depth = max(len(exe), len(rep))

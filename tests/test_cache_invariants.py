@@ -1,9 +1,10 @@
-"""Cache-layer invariants, checked against BOTH replay implementations.
+"""Cache-layer invariants, checked against BOTH cache implementations.
 
-A parametrized "driver" fixture feeds each randomized trace through
-either the scalar ``Cache.access`` loop or the batched
-``Cache.access_many`` call, then asserts the structural invariants that
-every set-associative write-back cache must satisfy:
+A parametrized fixture builds either the dict-based oracle ``Cache``
+(id ``scalar``) or the ``ArrayCache`` that compiled replay runs its
+chunk batches over (id ``batched``); each randomized trace is fed
+through its ``access`` method, then the tests assert the structural
+invariants that every set-associative write-back cache must satisfy:
 
 * ``hits + misses == accesses`` (and ``fills == misses``);
 * ``occupancy() <= num_sets * ways`` at all times;
@@ -19,28 +20,38 @@ consistently (regression for the flush-count propagation fix).
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from repro.config import CacheConfig, scaled_config
 from repro.memory.cache import Cache
-from repro.memory.hierarchy import MemorySystem
+from repro.memory.compiled import ArrayCache
+from repro.memory.hierarchy import (
+    OP_DENSE,
+    OP_DENSE_BYPASS,
+    OP_STREAM,
+    TRACE_REGIONS,
+    MemorySystem,
+    encode_op,
+)
 
 GEOM = CacheConfig(size_bytes=8 * 1024, associativity=4)  # 32 sets
 
 
-def scalar_driver(cache: Cache, lines, writes) -> None:
+def driver(cache, lines, writes) -> None:
     for line, w in zip(lines.tolist(), writes.tolist()):
         cache.access(line, w)
 
 
-def batched_driver(cache: Cache, lines, writes) -> None:
-    cache.access_many(lines, writes)
+def lru_state(cache):
+    return cache.state_dict()["sets"]
 
 
-@pytest.fixture(params=["scalar", "batched"])
-def driver(request):
-    return scalar_driver if request.param == "scalar" else batched_driver
+@pytest.fixture(params=["scalar", "compiled"], ids=["scalar", "batched"])
+def make_cache(request):
+    return Cache if request.param == "scalar" else ArrayCache
 
 
 def make_trace(seed, n=5000, num_lines=1 << 12, p_write=0.35):
@@ -52,8 +63,8 @@ def make_trace(seed, n=5000, num_lines=1 << 12, p_write=0.35):
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
-def test_accounting_identity(driver, seed):
-    cache = Cache(GEOM)
+def test_accounting_identity(make_cache, seed):
+    cache = make_cache(GEOM)
     lines, writes = make_trace(seed)
     driver(cache, lines, writes)
     assert cache.hits + cache.misses == cache.accesses == lines.shape[0]
@@ -62,8 +73,8 @@ def test_accounting_identity(driver, seed):
 
 
 @pytest.mark.parametrize("seed", [3, 4])
-def test_capacity_never_exceeded(driver, seed):
-    cache = Cache(GEOM)
+def test_capacity_never_exceeded(make_cache, seed):
+    cache = make_cache(GEOM)
     lines, writes = make_trace(seed, num_lines=1 << 15)
     capacity = cache.num_sets * cache.ways
     for lo in range(0, lines.shape[0], 250):
@@ -74,8 +85,8 @@ def test_capacity_never_exceeded(driver, seed):
     assert cache.occupancy() == capacity
 
 
-def test_flush_returns_exact_dirty_count(driver):
-    cache = Cache(GEOM)
+def test_flush_returns_exact_dirty_count(make_cache):
+    cache = make_cache(GEOM)
     lines, writes = make_trace(7, num_lines=512)
     driver(cache, lines, writes)
     dirty_before = cache.dirty_lines()
@@ -92,17 +103,17 @@ def test_flush_returns_exact_dirty_count(driver):
     assert cache.flush_writebacks == flushed
 
 
-def test_probe_and_invalidate_do_not_perturb(driver):
-    cache = Cache(GEOM)
+def test_probe_and_invalidate_do_not_perturb(make_cache):
+    cache = make_cache(GEOM)
     lines, writes = make_trace(11, num_lines=256)
     driver(cache, lines, writes)
     snap_counters = (cache.hits, cache.misses, cache.writebacks, cache.fills)
-    snap_state = [list(s.items()) for s in cache._sets]
+    snap_state = lru_state(cache)
 
     for line in range(0, 1 << 10, 7):
         cache.probe(line)
     assert (cache.hits, cache.misses, cache.writebacks, cache.fills) == snap_counters
-    assert [list(s.items()) for s in cache._sets] == snap_state
+    assert lru_state(cache) == snap_state
 
     # invalidate() drops lines but never touches the access counters,
     # and removal preserves the relative LRU order of the survivors.
@@ -114,7 +125,7 @@ def test_probe_and_invalidate_do_not_perturb(driver):
         [item for item in s_items if item[0] not in victims]
         for s_items in snap_state
     ]
-    assert [list(s.items()) for s in cache._sets] == expected
+    assert lru_state(cache) == expected
 
 
 def test_invalidate_reports_dirtiness():
@@ -131,35 +142,33 @@ def test_invalidate_reports_dirtiness():
 # ---------------------------------------------------------------------------
 
 
-def dirty_everything(ms: MemorySystem, replay: str):
+def dirty_everything(ms: MemorySystem):
     """Spread dirty lines over L1s, L2 (via spills), BBFs and victims."""
     rng = np.random.default_rng(13)
+    rmatrix = TRACE_REGIONS.index("rmatrix")
+    sparse_out = TRACE_REGIONS.index("sparse_out")
     for pe in range(len(ms.l1s)):
         lines = rng.integers(0, 1 << 12, size=1500)
-        if replay == "batched":
-            ms.dense_access_many(pe, lines, is_write=True, region="rmatrix")
-            ms.dense_access_many(
-                pe, lines[:200], is_write=True, bypass=True, region="rmatrix"
-            )
-            ms.stream_access_many(
-                pe, np.arange(pe * 100, pe * 100 + 50),
-                is_write=True, region="sparse_out",
-            )
-        else:
-            for line in lines.tolist():
-                ms.dense_access(pe, line, is_write=True, region="rmatrix")
-            for line in lines[:200].tolist():
-                ms.dense_access(
-                    pe, line, is_write=True, bypass=True, region="rmatrix"
-                )
-            for line in range(pe * 100, pe * 100 + 50):
-                ms.stream_access(pe, line, is_write=True, region="sparse_out")
+        trace = np.concatenate([
+            lines, lines[:200], np.arange(pe * 100, pe * 100 + 50),
+        ])
+        ops = np.array(
+            [encode_op(OP_DENSE, True, rmatrix)] * 1500
+            + [encode_op(OP_DENSE_BYPASS, True, rmatrix)] * 200
+            + [encode_op(OP_STREAM, True, sparse_out)] * 50,
+            dtype=np.int64,
+        )
+        ms.replay_trace(pe, trace, ops)
 
 
-@pytest.mark.parametrize("replay", ["scalar", "batched"])
+@pytest.mark.parametrize(
+    "replay", ["scalar", "compiled"], ids=["scalar", "batched"]
+)
 def test_flush_all_propagates_into_access_stats(replay):
-    ms = MemorySystem(scaled_config(4, cache_shrink=8))
-    dirty_everything(ms, replay)
+    ms = MemorySystem(
+        dataclasses.replace(scaled_config(4, cache_shrink=8), replay=replay)
+    )
+    dirty_everything(ms)
     assert ms.collect_stats().flushed_dirty_lines == 0
 
     total_dirty = (
@@ -200,7 +209,7 @@ def test_flush_all_propagates_into_access_stats(replay):
 
 def test_stats_merge_carries_flushed_dirty_lines():
     ms = MemorySystem(scaled_config(4, cache_shrink=8))
-    dirty_everything(ms, "batched")
+    dirty_everything(ms)
     ms.flush_all()
     stats = ms.collect_stats()
     merged = stats.merged(stats)

@@ -473,10 +473,11 @@ class TestReplayFlag:
            "--pes", "2", "--k", "16"]
 
     def test_parser_accepts_registry_modes(self):
-        from repro.config import replay_modes
+        """Every mode in the fixed ``REPLAY_MODES`` registry parses."""
+        from repro.config import REPLAY_MODES
 
         assert build_parser().parse_args(self.RUN).replay is None
-        for mode in replay_modes():
+        for mode in REPLAY_MODES:
             args = build_parser().parse_args(
                 self.RUN + ["--replay", mode]
             )
@@ -488,21 +489,20 @@ class TestReplayFlag:
         assert "--replay" in capsys.readouterr().err
 
     def test_run_output_identical_across_modes(self, capsys):
-        """All backends are bit-identical, so the printed report must
+        """Both backends are bit-identical, so the printed report must
         not change when the replay mode does."""
         assert main(self.RUN + ["--replay", "scalar"]) == 0
         want = capsys.readouterr().out
-        for mode in ("batched", "array"):
-            assert main(self.RUN + ["--replay", mode]) == 0
-            assert capsys.readouterr().out == want
+        assert main(self.RUN + ["--replay", "compiled"]) == 0
+        assert capsys.readouterr().out == want
 
     def test_sweep_and_cached_rerun_round_trip(self, tmp_path, capsys):
         """The replay mode survives the sweep cell path: live run,
         cold cached run, and warm cache hit all print the same report."""
-        assert main(self.RUN + ["--replay", "array"]) == 0
+        assert main(self.RUN + ["--replay", "compiled"]) == 0
         live = capsys.readouterr().out
         cache = str(tmp_path / "cache")
-        argv = self.RUN + ["--replay", "array", "--cache-dir", cache]
+        argv = self.RUN + ["--replay", "compiled", "--cache-dir", cache]
         assert main(argv) == 0
         cold = capsys.readouterr().out
         assert main(argv) == 0
@@ -517,7 +517,7 @@ class TestReplayFlag:
         """Different --replay values must not collide in the result
         cache even though their results are identical."""
         cache = str(tmp_path / "cache")
-        for mode in ("scalar", "array"):
+        for mode in ("scalar", "compiled"):
             assert main(
                 self.RUN + ["--replay", mode, "--cache-dir", cache]
             ) == 0
@@ -529,7 +529,7 @@ class TestReplayFlag:
     def test_autotune_accepts_replay(self, capsys):
         code = main([
             "autotune", "--matrix", "ASI", "--scale", "tiny",
-            "--pes", "2", "--k", "16", "--replay", "array",
+            "--pes", "2", "--k", "16", "--replay", "compiled",
         ])
         assert code == 0
         assert "best" in capsys.readouterr().out

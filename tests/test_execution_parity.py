@@ -132,14 +132,18 @@ def rect():
 
 
 class TestExecutionParity:
-    @pytest.mark.parametrize("replay", ["scalar", "batched"])
+    # Compiled replay hands each chunk to the kernel in one batch; its
+    # ids say ``batched``, against the per-access ``scalar`` oracle.
+    @pytest.mark.parametrize(
+        "replay", ["scalar", "compiled"], ids=["scalar", "batched"]
+    )
     @pytest.mark.parametrize("kernel", ["spmm", "sddmm"])
     def test_modes_bit_identical(self, graph, kernel, replay):
         _assert_same(graph, 16, kernel, replay)
 
     def test_rmatrix_bypass(self, rect):
         _assert_same(
-            rect, 16, "spmm", "batched",
+            rect, 16, "spmm", "compiled",
             KernelSettings(rmatrix_bypass=True),
         )
 
@@ -147,7 +151,7 @@ class TestExecutionParity:
         # Pre-CFG4 sparse path: the stream goes through the caches, so
         # the sparse ops take the dense-cached branch of the generators.
         _assert_same(
-            rect, 16, "sddmm", "batched",
+            rect, 16, "sddmm", "compiled",
             KernelSettings(sparse_stream_bypass=False),
         )
 
@@ -159,7 +163,7 @@ class TestExecutionParity:
 
     def test_barrier_epochs(self, graph):
         _assert_same(
-            graph, 16, "spmm", "batched",
+            graph, 16, "spmm", "compiled",
             KernelSettings(
                 row_panel_size=64, col_panel_size=64, use_barriers=True
             ),
@@ -169,13 +173,13 @@ class TestExecutionParity:
         # K=256 -> 16 lines/row: the elision cadence degenerates to 1
         # (the VRF cannot protect a run), so the generators must fall
         # back to streaming every access and still match the oracle.
-        _assert_same(rect, 256, "spmm", "batched")
-        _assert_same(rect, 256, "sddmm", "batched")
+        _assert_same(rect, 256, "spmm", "compiled")
+        _assert_same(rect, 256, "sddmm", "compiled")
 
     def test_tiny_chunks(self, rect):
         # chunk_nnz smaller than typical row runs: runs split across
         # chunk boundaries exercise the first/last-touch rules.
-        _assert_same(rect, 16, "spmm", "batched", chunk_nnz=17)
+        _assert_same(rect, 16, "spmm", "compiled", chunk_nnz=17)
 
 
 class TestPipelineVariants:
@@ -191,11 +195,11 @@ class TestPipelineVariants:
     )
     def test_pipeline_config_parity(self, graph, pipeline):
         eng_o, res_o, out_o = _run_engine(
-            graph, 16, "sddmm", "scalar", "batched"
+            graph, 16, "sddmm", "scalar", "compiled"
         )
         fp_o = _fingerprint(eng_o, res_o, out_o)
         eng_p, res_p, out_p = _run_engine(
-            graph, 16, "sddmm", "pipelined", "batched", pipeline=pipeline
+            graph, 16, "sddmm", "pipelined", "compiled", pipeline=pipeline
         )
         assert np.array_equal(out_o, out_p)
         assert _fingerprint(eng_p, res_p, out_p) == fp_o
@@ -259,7 +263,7 @@ class TestTraceParity:
         for mode in ("scalar",) + MODES:
             with monkeypatch.context() as mp:
                 chunks = self._capture_chunks(mp)
-                _run_engine(graph, 16, kernel, mode, "batched")
+                _run_engine(graph, 16, kernel, mode, "compiled")
                 streams[mode] = self._flatten(chunks)
         for mode in MODES:
             assert streams[mode] == streams["scalar"], (

@@ -2,15 +2,14 @@
 
 Small seeded SpMM and SDDMM runs on three generator domains are frozen
 as JSON under ``tests/golden/``: ``time_ns``, ``dram_bytes``, per-level
-hit/miss counts, and ``dirty_lines_flushed``.  Any silent drift in any
-replay path — scalar oracle, batched fast path, or the array-native
-stack-distance solver — fails loudly here, and because ONE golden file
-serves ALL replay modes, these tests also pin the bit-identical
-equivalence guarantee end to end.  A second fixture family
-(``fingerprint_*.json``) freezes the full EngineResult surface —
-simulated time, epoch count, merged PECounters and an output digest —
-and holds ALL THREE execution backends (scalar, vectorized, pipelined)
-crossed with ALL THREE replay backends to it.
+hit/miss counts, and ``dirty_lines_flushed``.  Any silent drift in
+either replay path — scalar oracle or compiled cache cascade — fails
+loudly here, and because ONE golden file serves BOTH replay modes,
+these tests also pin the bit-identical equivalence guarantee end to
+end.  A second fixture family (``fingerprint_*.json``) freezes the full
+EngineResult surface — simulated time, epoch count, merged PECounters
+and an output digest — and holds ALL THREE execution backends (scalar,
+vectorized, pipelined) crossed with BOTH replay backends to it.
 
 Regenerate after an intentional model change (from the repo root)::
 
@@ -29,7 +28,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.config import EXECUTION_MODES, scaled_config
+from repro.config import EXECUTION_MODES, REPLAY_MODES, scaled_config
 from repro.core.accelerator import KernelSettings, SpadeSystem
 from repro.sparse.generators import banded, rmat_graph, uniform_random
 
@@ -43,7 +42,9 @@ DOMAINS = {
     "uniform": lambda: uniform_random(num_rows=256, num_cols=192, nnz=3000, seed=21),
 }
 KERNELS = ("spmm", "sddmm")
-REPLAY_MODES = ("scalar", "batched", "array")
+# Test ids per replay mode: compiled replay hands each chunk to the
+# kernel in one batch, so its ids say ``batched``.
+REPLAY_IDS = {"scalar": "scalar", "compiled": "batched"}
 K = 16
 
 
@@ -152,7 +153,7 @@ def assert_matches_golden(got: dict, want: dict, where: str) -> None:
             )
 
 
-@pytest.mark.parametrize("replay", REPLAY_MODES)
+@pytest.mark.parametrize("replay", REPLAY_MODES, ids=REPLAY_IDS.get)
 @pytest.mark.parametrize("kernel", KERNELS)
 @pytest.mark.parametrize("domain", sorted(DOMAINS))
 def test_engine_matches_golden(domain, kernel, replay):
@@ -166,7 +167,7 @@ def test_engine_matches_golden(domain, kernel, replay):
     assert_matches_golden(got, want, f"{kernel}/{domain}[{replay}]")
 
 
-@pytest.mark.parametrize("replay", REPLAY_MODES)
+@pytest.mark.parametrize("replay", REPLAY_MODES, ids=REPLAY_IDS.get)
 @pytest.mark.parametrize("execution", EXECUTION_MODES)
 @pytest.mark.parametrize("case", sorted(FINGERPRINT_CASES))
 def test_engine_fingerprint_matches_golden(case, execution, replay):
@@ -191,11 +192,10 @@ def test_engine_fingerprint_matches_golden(case, execution, replay):
 def test_replay_modes_agree_on_numerics():
     """Beyond the counters: the numeric kernel output is identical."""
     scalar = run_case("uniform", "spmm", "scalar")
-    for replay in ("batched", "array"):
-        other = run_case("uniform", "spmm", replay)
-        np.testing.assert_array_equal(
-            scalar.result.output_dense, other.result.output_dense
-        )
+    other = run_case("uniform", "spmm", "compiled")
+    np.testing.assert_array_equal(
+        scalar.result.output_dense, other.result.output_dense
+    )
 
 
 def regenerate() -> None:
@@ -212,7 +212,7 @@ def regenerate() -> None:
         FINGERPRINT_CASES.items()
     ):
         got = fingerprint(
-            run_case(domain, kernel, "batched", "scalar", settings)
+            run_case(domain, kernel, "compiled", "scalar", settings)
         )
         path = fingerprint_path(case)
         path.write_text(json.dumps(got, indent=2) + "\n")

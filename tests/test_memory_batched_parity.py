@@ -1,13 +1,13 @@
-"""Differential parity: batched replay vs the scalar oracle.
+"""Differential parity: chunk-batched compiled replay vs the scalar oracle.
 
-The batched trace-replay fast path (``Cache.access_many``,
-``BypassBuffer.stream_access_many``, ``STLB.translate_many``,
+The compiled replay path (``ArrayCache`` driven by the C cascade
+kernel, ``BypassBuffer.stream_access_many``, ``STLB.translate_many``,
 ``MemorySystem.replay_trace``) must be *bit-identical* to issuing the
-same trace through the scalar methods one access at a time: same
-counters, same per-access outcomes, same LRU order, same dirty bits.
-These tests replay randomized traces — mixed read/write, power-of-two
-strides, hot-set skew, consecutive-run heavy, multi-level pressure —
-through both implementations and require exact equality.
+same trace through the oracle's scalar methods one access at a time:
+same counters, same per-access outcomes, same LRU order, same dirty
+bits.  These tests replay randomized traces — mixed read/write,
+power-of-two strides, hot-set skew, consecutive-run heavy, multi-level
+pressure — through both implementations and require exact equality.
 """
 
 from __future__ import annotations
@@ -19,7 +19,8 @@ import pytest
 
 from repro.config import CacheConfig, scaled_config
 from repro.memory.bbf import BypassBuffer
-from repro.memory.cache import NO_LINE, Cache
+from repro.memory.cache import Cache
+from repro.memory.compiled import ArrayCache
 from repro.memory.hierarchy import (
     OP_DENSE,
     OP_DENSE_BYPASS,
@@ -88,17 +89,17 @@ GEOMETRIES = [
 ]
 
 
-def cache_state(cache: Cache):
-    """Insertion order in the per-set dicts IS the LRU order."""
-    return [list(s.items()) for s in cache._sets]
+def cache_state(cache):
+    """Per-set ``(line, dirty)`` pairs in LRU order (either cache class)."""
+    return cache.state_dict()["sets"]
 
 
-def scalar_cache_replay(cache: Cache, lines, writes):
+def scalar_cache_replay(cache, lines, writes):
     hits, evicted = [], []
     for line, w in zip(lines.tolist(), writes.tolist()):
         h, e = cache.access(line, w)
         hits.append(h)
-        evicted.append(NO_LINE if e is None else e)
+        evicted.append(-1 if e is None else e)
     return np.array(hits), np.array(evicted, dtype=np.int64)
 
 
@@ -110,56 +111,29 @@ CACHE_COUNTERS = ("hits", "misses", "writebacks", "fills", "flush_writebacks")
 
 
 # ---------------------------------------------------------------------------
-# Cache.access_many parity
+# ArrayCache (the compiled kernel's per-access routine) parity
 # ---------------------------------------------------------------------------
 
 
 @pytest.mark.parametrize("trace_name", sorted(TRACES))
 @pytest.mark.parametrize("geom", GEOMETRIES, ids=lambda g: f"{g.size_bytes}B-{g.associativity}w")
 def test_cache_access_many_matches_scalar(trace_name, geom):
+    """Many-access traces through ``ArrayCache`` match the oracle
+    access by access: hits, victims, counters and LRU state."""
     rng = np.random.default_rng(hash(trace_name) % 2**32)
     lines, writes = TRACES[trace_name](rng, 4000)
 
     scalar = Cache(geom, name="scalar")
-    batched = Cache(geom, name="batched")
+    compiled = ArrayCache(geom, name="compiled")
     s_hits, s_ev = scalar_cache_replay(scalar, lines, writes)
+    c_hits, c_ev = scalar_cache_replay(compiled, lines, writes)
 
-    # Replay in several sub-batches: state must carry across calls.
-    b_hits, b_ev = [], []
-    for lo in range(0, lines.shape[0], 1111):
-        h, e = batched.access_many(lines[lo:lo + 1111], writes[lo:lo + 1111])
-        b_hits.append(h)
-        b_ev.append(e)
-    b_hits = np.concatenate(b_hits)
-    b_ev = np.concatenate(b_ev)
-
-    assert np.array_equal(s_hits, b_hits)
-    assert np.array_equal(s_ev, b_ev)
-    assert counters(scalar, CACHE_COUNTERS) == counters(batched, CACHE_COUNTERS)
-    assert scalar.occupancy() == batched.occupancy()
-    assert scalar.dirty_lines() == batched.dirty_lines()
-    assert cache_state(scalar) == cache_state(batched)
-
-
-def test_cache_access_many_scalar_write_flag():
-    """``writes`` may be a scalar bool applied to the whole batch."""
-    rng = np.random.default_rng(0)
-    lines = rng.integers(0, 512, size=2000)
-    for flag in (False, True):
-        scalar = Cache(GEOMETRIES[0])
-        batched = Cache(GEOMETRIES[0])
-        w = np.full(lines.shape[0], flag)
-        scalar_cache_replay(scalar, lines, w)
-        batched.access_many(lines, flag)
-        assert counters(scalar, CACHE_COUNTERS) == counters(batched, CACHE_COUNTERS)
-        assert cache_state(scalar) == cache_state(batched)
-
-
-def test_cache_access_many_empty():
-    cache = Cache(GEOMETRIES[0])
-    hits, ev = cache.access_many(np.empty(0, dtype=np.int64), False)
-    assert hits.shape == (0,) and ev.shape == (0,)
-    assert cache.accesses == 0
+    assert np.array_equal(s_hits, c_hits)
+    assert np.array_equal(s_ev, c_ev)
+    assert counters(scalar, CACHE_COUNTERS) == counters(compiled, CACHE_COUNTERS)
+    assert scalar.occupancy() == compiled.occupancy()
+    assert scalar.dirty_lines() == compiled.dirty_lines()
+    assert cache_state(scalar) == cache_state(compiled)
 
 
 # ---------------------------------------------------------------------------
@@ -283,6 +257,14 @@ def system_state(ms: MemorySystem):
     )
 
 
+def replay_pair(cfg):
+    """An oracle (scalar-mode) and a compiled-mode memory system."""
+    return (
+        MemorySystem(dataclasses.replace(cfg, replay="scalar")),
+        MemorySystem(dataclasses.replace(cfg, replay="compiled")),
+    )
+
+
 def random_op_trace(rng, n, num_lines):
     """Interleaved dense / bypass / stream ops with mixed writes."""
     lines = rng.integers(0, num_lines, size=n)
@@ -322,8 +304,7 @@ def test_memory_system_replay_parity(footprint):
     """Multi-level pressure: footprints sized to L1, L2, and beyond,
     replayed on several PEs (shared L2/LLC/STLB contention included)."""
     cfg = scaled_config(4, cache_shrink=8)
-    ms_s = MemorySystem(cfg)
-    ms_b = MemorySystem(cfg)
+    ms_s, ms_b = replay_pair(cfg)
     rng = np.random.default_rng(footprint)
     for chunk_idx in range(6):
         pe_id = int(rng.integers(0, cfg.num_pes))
@@ -344,9 +325,7 @@ def test_memory_system_replay_parity(footprint):
 
 def test_memory_system_replay_then_flush_parity():
     """Flush after replay: identical dirty counts and flush accounting."""
-    cfg = scaled_config(4, cache_shrink=8)
-    ms_s = MemorySystem(cfg)
-    ms_b = MemorySystem(cfg)
+    ms_s, ms_b = replay_pair(scaled_config(4, cache_shrink=8))
     rng = np.random.default_rng(99)
     lines, ops = random_op_trace(rng, 5000, 4096)
     scalar_system_replay(ms_s, 1, lines, ops)
@@ -355,3 +334,37 @@ def test_memory_system_replay_then_flush_parity():
     assert dataclasses.asdict(ms_s.collect_stats()) == dataclasses.asdict(
         ms_b.collect_stats()
     )
+
+
+def test_cache_access_many_empty():
+    """An empty chunk through the compiled kernel returns no levels and
+    touches no cache."""
+    ms = MemorySystem(
+        dataclasses.replace(scaled_config(4, cache_shrink=8), replay="compiled")
+    )
+    before = ms.state_dict()
+    empty = np.empty(0, dtype=np.int64)
+    assert ms.replay_trace(0, empty, empty).shape == (0,)
+    assert ms.state_dict() == before
+    assert ms.l1s[0].accesses == ms.l2s[0].accesses == ms.llc.accesses == 0
+
+
+def test_compiled_replay_rejects_negative_lines():
+    """C's ``%`` truncates towards zero, so a negative line would index
+    outside its set; the compiled entry points refuse it up front and
+    leave every structure untouched."""
+    ms = MemorySystem(
+        dataclasses.replace(scaled_config(4, cache_shrink=8), replay="compiled")
+    )
+    rng = np.random.default_rng(5)
+    lines, ops = random_op_trace(rng, 500, 4096)
+    ms.replay_trace(0, lines, ops)
+    before = ms.state_dict()
+    bad = lines.copy()
+    bad[250] = -3
+    with pytest.raises(ValueError):
+        ms.replay_trace(0, bad, ops)
+    assert ms.state_dict() == before
+    with pytest.raises(ValueError):
+        ms.l1s[0].access(-1)
+    assert ms.state_dict() == before

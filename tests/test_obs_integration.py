@@ -1,5 +1,5 @@
 """Integration tests: the run ledger wired through the supervisor,
-engine, replay dispatch, sweep shards, CLI, and provenance."""
+engine, sweep shards, CLI, and provenance."""
 
 from __future__ import annotations
 
@@ -27,44 +27,29 @@ def workload():
     return a, b
 
 
-def array_config(**overrides):
+def compiled_config(**overrides):
     cfg = scaled_config(4)
-    return dataclasses.replace(cfg, replay="array", **overrides)
+    return dataclasses.replace(cfg, replay="compiled", **overrides)
 
 
 def run_with_ledger(tmp_path, workload, **cfg_overrides):
     a, b = workload
     ledger = open_run_ledger(tmp_path, run_id="itest", validate=True)
     sup = RunSupervisor(ledger=ledger)
-    report = sup.run_kernel(array_config(**cfg_overrides), "spmm", a, b)
+    report = sup.run_kernel(compiled_config(**cfg_overrides), "spmm", a, b)
     ledger.close()
     return report, read_events(ledger.path)
 
 
 class TestDispatchAudit:
-    def test_every_considered_partition_is_audited(
-        self, tmp_path, workload
-    ):
-        _, events = run_with_ledger(tmp_path, workload)
-        dispatch = [e for e in events if e["e"] == "dispatch"]
-        assert dispatch, "array replay must consider partitions"
-        for ev in dispatch:
-            assert ev["level"] in ("l1", "l2", "llc")
-            assert ev["chosen"] in ("array", "dict", "batched")
-            assert ev["events"] >= 0
-            assert 0.0 <= ev["miss_rate"] <= 1.0
-            assert ev["predicted_py_us"] >= 0
-            assert ev["measured_us"] >= 0
-            # Cost-model decisions carry both predictions; min-events
-            # floor decisions never computed the array cost.
-            if ev.get("reason") == "cost_model":
-                assert ev["predicted_array_us"] is not None
+    """The ledger audits every supervised run it is attached to, and
+    attaching it changes no result."""
 
     def test_results_identical_with_ledger_on_and_off(
         self, tmp_path, workload
     ):
         a, b = workload
-        baseline = RunSupervisor().run_kernel(array_config(), "spmm", a, b)
+        baseline = RunSupervisor().run_kernel(compiled_config(), "spmm", a, b)
         report, _ = run_with_ledger(tmp_path, workload)
         np.testing.assert_array_equal(report.output, baseline.output)
         assert report.time_ns == baseline.time_ns
@@ -74,7 +59,7 @@ class TestDispatchAudit:
         a, b = workload
         sup = RunSupervisor()  # NULL_LEDGER by default
         assert sup.ledger is NULL_LEDGER
-        sup.run_kernel(array_config(), "spmm", a, b)
+        sup.run_kernel(compiled_config(), "spmm", a, b)
         assert list(tmp_path.iterdir()) == []
 
 
@@ -86,7 +71,7 @@ class TestRunLifecycle:
         assert kinds[-1] == "run_end"
         start = events[0]
         assert start["kernel"] == "spmm"
-        assert start["replay"] == "array"
+        assert start["replay"] == "compiled"
         assert len(start["config_fingerprint"]) == 64
         end = events[-1]
         assert end["status"] == "ok"
@@ -107,7 +92,7 @@ class TestRunLifecycle:
             checkpoint_dir=str(tmp_path / "snaps"), checkpoint_interval=1
         )
         sup = RunSupervisor(resilience=res, ledger=ledger)
-        sup.run_kernel(array_config(resilience=res), "spmm", a, b)
+        sup.run_kernel(compiled_config(resilience=res), "spmm", a, b)
         ledger.close()
         events = read_events(ledger.path)
         ckpts = [e for e in events if e["e"] == "checkpoint"]
@@ -120,7 +105,6 @@ class TestRunLifecycle:
         _, events = run_with_ledger(
             tmp_path, workload, execution="pipelined"
         )
-        assert any(e["e"] == "dispatch" for e in events)
         epochs = [e for e in events if e["e"] == "epoch"]
         assert epochs and all(e["replay_s"] >= 0 for e in epochs)
 
@@ -167,7 +151,7 @@ class TestResilienceEvents:
             sleep=lambda s: None,
             ledger=ledger,
         )
-        cfg = array_config(execution="pipelined")
+        cfg = compiled_config(execution="pipelined")
         sup.run_kernel(cfg, "spmm", a, b)
         ledger.close()
         events = read_events(ledger.path)
@@ -196,7 +180,7 @@ class TestResilienceEvents:
             ledger=ledger,
         )
         with pytest.raises(EngineExecutionError):
-            sup.run_kernel(array_config(), "spmm", a, b)
+            sup.run_kernel(compiled_config(), "spmm", a, b)
         ledger.close()
         end = read_events(ledger.path)[-1]
         assert end["e"] == "run_end"
@@ -343,25 +327,24 @@ class TestObsCli:
         led = tmp_path / "led"
         rc = main([
             "run", "--matrix", "KRO", "--scale", "tiny", "--k", "4",
-            "--pes", "4", "--replay", "array",
+            "--pes", "4", "--replay", "compiled",
             "--ledger", str(led),
         ])
         assert rc == 0
         out = capsys.readouterr().out
         assert "ledger written" in out
-        rc = main(["obs", "validate", "--require-dispatch", str(led)])
+        rc = main(["obs", "validate", str(led)])
         assert rc == 0
         assert "validated" in capsys.readouterr().out
 
     def test_obs_report_text_and_json(self, ledger_dir, capsys):
         assert main(["obs", "report", str(ledger_dir)]) == 0
         text = capsys.readouterr().out
-        assert "replay dispatch audit" in text
         assert "phase hotspots" in text
         assert main(["obs", "report", "--json", str(ledger_dir)]) == 0
         agg = json.loads(capsys.readouterr().out)
-        assert agg["dispatch"]["total"] > 0
-        assert "misprediction_rate" in agg["dispatch"]
+        assert agg["phases"]["replay"]["epochs"] > 0
+        assert "dispatch" not in agg
 
     def test_obs_report_out_file(self, ledger_dir, tmp_path, capsys):
         out = tmp_path / "report.json"

@@ -31,7 +31,7 @@ def _ev(etype="run_start", **overrides):
     base = {
         "run_start": {
             "kernel": "spmm", "execution": "vectorized",
-            "replay": "array", "config_fingerprint": "ab" * 32,
+            "replay": "compiled", "config_fingerprint": "ab" * 32,
             "pid": 1,
         },
         "run_end": {"status": "ok", "wall_s": 0.5},
@@ -41,12 +41,12 @@ def _ev(etype="run_start", **overrides):
         },
         "checkpoint": {"epoch": 0, "wall_s": 0.01},
         "retry": {
-            "attempt": 1, "execution": "vectorized", "replay": "array",
+            "attempt": 1, "execution": "vectorized", "replay": "compiled",
             "cause": "OSError('x')", "backoff_s": 0.05,
         },
         "degradation": {
-            "from_execution": "pipelined", "from_replay": "array",
-            "to_execution": "vectorized", "to_replay": "batched",
+            "from_execution": "pipelined", "from_replay": "compiled",
+            "to_execution": "vectorized", "to_replay": "scalar",
             "cause": "WatchdogTimeout('t')",
         },
         "sweep_job": {
@@ -62,12 +62,6 @@ def _ev(etype="run_start", **overrides):
         "trace_cache": {
             "epoch": 0, "status": "hit", "key": "cd" * 32, "pes": 8,
             "wall_s": 0.002,
-        },
-        "dispatch": {
-            "cache": "L1", "level": "l1", "events": 500,
-            "miss_rate": 0.2, "hint": True, "predicted_py_us": 120.0,
-            "predicted_array_us": 90.0, "chosen": "array",
-            "measured_us": 95.0,
         },
     }[etype]
     ev = dict(base)
@@ -86,9 +80,9 @@ class TestSchema:
             validate_event(_ev("run_end", e="nope"))
 
     def test_missing_required_field_rejected(self):
-        ev = _ev("dispatch")
-        del ev["measured_us"]
-        with pytest.raises(LedgerSchemaError, match="measured_us"):
+        ev = _ev("run_end")
+        del ev["wall_s"]
+        with pytest.raises(LedgerSchemaError, match="wall_s"):
             validate_event(ev)
 
     def test_unknown_field_rejected(self):
@@ -106,7 +100,7 @@ class TestSchema:
 
     def test_enum_values_enforced(self):
         with pytest.raises(LedgerSchemaError):
-            validate_event(_ev("dispatch", chosen="gpu"))
+            validate_event(_ev("sweep_job", status="gone"))
         with pytest.raises(LedgerSchemaError):
             validate_event(_ev("run_end", status="meh"))
 
@@ -117,15 +111,6 @@ class TestSchema:
             validate_event(ev)
         with pytest.raises(LedgerSchemaError):
             validate_event(_ev("checkpoint", t=-1.0))
-
-    def test_nullable_array_prediction(self):
-        # Below the min-events floor the array cost is never computed.
-        validate_event(
-            _ev(
-                "dispatch", predicted_array_us=None, chosen="dict",
-                reason="min_events",
-            )
-        )
 
     def test_json_schema_document(self):
         doc = as_json_schema()
@@ -330,31 +315,6 @@ class TestReport:
         assert agg["checkpoints"]["count"] == 1
         assert agg["sim_time_ns"] == pytest.approx(2e6)
 
-    def test_misprediction_accounting(self, tmp_path):
-        self._write(tmp_path, [
-            # chosen array, measured 95 < alt py 120: good call
-            _ev("dispatch"),
-            # chosen array, measured 200 > alt py 120: mispredicted
-            _ev("dispatch", measured_us=200.0),
-            # min-events floor: no array prediction, not comparable
-            _ev(
-                "dispatch", chosen="dict", predicted_array_us=None,
-                reason="min_events", measured_us=50.0,
-            ),
-        ])
-        agg = aggregate([tmp_path])
-        d = agg["dispatch"]
-        assert d["total"] == 3
-        assert d["comparable"] == 2
-        assert d["mispredictions"] == 1
-        assert d["misprediction_rate"] == pytest.approx(0.5)
-        l1 = d["by_level"]["l1"]
-        assert l1["chosen"] == {"array": 2, "dict": 1, "batched": 0}
-        # rel error of chosen path's own prediction, comparable only:
-        # |95-90|/95 and |200-90|/200 (dict row has no own prediction
-        # for min_events? predicted_py_us present: |50-120|/50 too).
-        assert l1["mean_rel_error"] > 0
-
     def test_sweep_requeue_and_quarantine_aggregate(self, tmp_path):
         self._write(tmp_path, [
             _ev("sweep_job", status="started", pid=1, attempt=1),
@@ -400,13 +360,11 @@ class TestReport:
 
     def test_format_report_renders(self, tmp_path):
         self._write(tmp_path, [
-            _ev("run_start"), _ev("epoch"), _ev("dispatch"),
-            _ev("run_end"),
+            _ev("run_start"), _ev("epoch"), _ev("run_end"),
         ])
         text = format_report(aggregate([tmp_path]))
         assert "phase hotspots" in text
-        assert "replay dispatch audit" in text
-        assert "l1" in text
+        assert "resilience:" in text
 
     def test_validate_ledgers_reports_context(self, tmp_path):
         path = self._write(tmp_path, [_ev("epoch"), {"e": "epoch"}])
@@ -414,11 +372,16 @@ class TestReport:
             validate_ledgers([tmp_path])
 
     def test_validate_require_dispatch(self, tmp_path):
+        """Validation counts events; the replay dispatch events that
+        schema v1 could require are now rejected."""
         self._write(tmp_path, [_ev("run_start")])
         info = validate_ledgers([tmp_path])
         assert info["events"] == 1
-        with pytest.raises(ValueError, match="dispatch"):
-            validate_ledgers([tmp_path], require_dispatch=True)
+        assert info["by_type"] == {"run_start": 1}
+        # Schema v2 retired the replay dispatch audit events.
+        self._write(tmp_path, [_ev("run_start", e="dispatch")], "old.jsonl")
+        with pytest.raises(LedgerSchemaError, match="unknown event type"):
+            validate_ledgers([tmp_path])
 
 
 def test_peak_rss_is_positive_here():

@@ -1,22 +1,20 @@
-"""Differential parity: array replay vs the scalar oracle and batched.
+"""Differential parity: compiled replay on array-backed caches vs the oracle.
 
-The array-native replay backend (``replay="array"``,
-``repro.memory.replay_array``) reconstructs per-access hit/miss
-outcomes from stack distances over whole trace partitions instead of
-walking the LRU dicts access by access.  It must be *bit-identical* to
-the scalar oracle — same AccessStats counters at every level, same
-per-access service levels, same LRU orders and dirty bits, same kernel
-outputs — under every execution backend, bypass configuration, and
-barrier schedule.  These tests run the same traces and kernels through
-all three replay modes and require exact equality.
+The compiled replay backend (``replay="compiled"``,
+``repro.memory.compiled``) keeps every cache in flat per-set slot
+arrays and replays whole chunk traces through a C cascade kernel
+instead of walking the oracle's LRU dicts access by access.  It must be
+*bit-identical* to the scalar oracle — same AccessStats counters at
+every level, same per-access service levels, same LRU orders and dirty
+bits, same kernel outputs — under every execution backend, bypass
+configuration, and barrier schedule.  These tests run the same traces
+and kernels through both replay modes and require exact equality.
 
 Two layers:
 
 * **MemorySystem traces** — randomized interleaved dense/bypass/stream
-  op traces at L1-resident, L2-resident, and DRAM-heavy footprints,
-  with the array path both auto-dispatched and force-engaged (cost
-  model disabled) so the NumPy solver itself is exercised, not just
-  its fallback.
+  op traces at tiny, L1-resident, L2-resident, and DRAM-heavy
+  footprints.
 * **End-to-end kernels** — SpMM and SDDMM through ``SpadeSystem`` on
   all execution backends (scalar, vectorized, pipelined), with bypass
   on/off and a barrier-heavy schedule, comparing the full stats
@@ -33,31 +31,14 @@ import pytest
 
 from repro.config import scaled_config
 from repro.core.accelerator import KernelSettings, SpadeSystem
-from repro.memory.hierarchy import MemorySystem
 from repro.sparse.generators import rmat_graph, uniform_random
-import repro.memory.replay_array as replay_array
 
 from tests.test_memory_batched_parity import (
     random_op_trace,
+    replay_pair,
     scalar_system_replay,
     system_state,
 )
-
-REPLAY_MODES = ("scalar", "batched", "array")
-
-
-@pytest.fixture
-def force_array(monkeypatch):
-    """Disable the cost model so every partition runs the NumPy solver.
-
-    ``ARRAY_MIN_EVENTS=0`` removes the small-partition floor and an
-    absurd per-access python cost makes the planner always pick the
-    array path (and never bail out of it).  Dispatch heuristics change
-    speed, never results — this fixture makes sure the solver itself
-    is what we are testing.
-    """
-    monkeypatch.setattr(replay_array, "ARRAY_MIN_EVENTS", 0)
-    monkeypatch.setattr(replay_array, "_PY_HIT_US", 1e9)
 
 
 # ---------------------------------------------------------------------------
@@ -65,31 +46,23 @@ def force_array(monkeypatch):
 # ---------------------------------------------------------------------------
 
 
-def _three_way(footprint: int, chunks: int = 6, n: int = 2500):
+def _two_way(footprint: int, chunks: int = 6, n: int = 2500):
     cfg = scaled_config(4, cache_shrink=8)
-    cfg_a = dataclasses.replace(cfg, replay="array")
-    ms_s = MemorySystem(cfg)
-    ms_b = MemorySystem(cfg)
-    ms_a = MemorySystem(cfg_a)
+    ms_s, ms_c = replay_pair(cfg)
     rng = np.random.default_rng(footprint)
     for chunk_idx in range(chunks):
         pe_id = int(rng.integers(0, cfg.num_pes))
         lines, ops = random_op_trace(rng, n, footprint)
         lv_s = scalar_system_replay(ms_s, pe_id, lines, ops)
-        lv_b = ms_b.replay_trace(pe_id, lines, ops)
-        lv_a = ms_a.replay_trace(pe_id, lines, ops)
-        assert np.array_equal(lv_s, lv_b), (
-            f"batched levels diverged in chunk {chunk_idx}"
+        lv_c = ms_c.replay_trace(pe_id, lines, ops)
+        assert np.array_equal(lv_s, lv_c), (
+            f"compiled levels diverged in chunk {chunk_idx}"
         )
-        assert np.array_equal(lv_s, lv_a), (
-            f"array levels diverged in chunk {chunk_idx}"
-        )
-    stats_s = dataclasses.asdict(ms_s.collect_stats())
-    assert stats_s == dataclasses.asdict(ms_b.collect_stats())
-    assert stats_s == dataclasses.asdict(ms_a.collect_stats())
-    assert system_state(ms_s) == system_state(ms_b)
-    assert system_state(ms_s) == system_state(ms_a)
-    return ms_s, ms_a
+    assert dataclasses.asdict(ms_s.collect_stats()) == dataclasses.asdict(
+        ms_c.collect_stats()
+    )
+    assert system_state(ms_s) == system_state(ms_c)
+    return ms_s, ms_c
 
 
 @pytest.mark.parametrize(
@@ -97,28 +70,19 @@ def _three_way(footprint: int, chunks: int = 6, n: int = 2500):
     ids=["tiny", "l1_resident", "l2_resident", "dram_heavy"],
 )
 def test_replay_trace_parity_auto(footprint):
-    """Auto dispatch: whatever mix of array solves and python
-    fallbacks the cost model picks, results match the oracle."""
-    _three_way(footprint)
+    """The replay a config picks by default, compiled, matches the
+    oracle chunk by chunk at every footprint."""
+    assert scaled_config(4).replay == "compiled"
+    _two_way(footprint)
 
 
-@pytest.mark.parametrize(
-    "footprint", [64, 512, 1 << 13, 1 << 17],
-    ids=["tiny", "l1_resident", "l2_resident", "dram_heavy"],
-)
-def test_replay_trace_parity_forced(footprint, force_array):
-    """Forced dispatch: every partition goes through the NumPy solver
-    (small-footprint fast path and dominance path both engage)."""
-    _three_way(footprint)
-
-
-def test_replay_then_flush_parity(force_array):
-    """Flush after array replay: identical dirty lines, writebacks,
+def test_replay_then_flush_parity():
+    """Flush after compiled replay: identical dirty lines, writebacks,
     and flush accounting."""
-    ms_s, ms_a = _three_way(4096, chunks=3, n=4000)
-    assert ms_s.flush_all() == ms_a.flush_all()
+    ms_s, ms_c = _two_way(4096, chunks=3, n=4000)
+    assert ms_s.flush_all() == ms_c.flush_all()
     assert dataclasses.asdict(ms_s.collect_stats()) == dataclasses.asdict(
-        ms_a.collect_stats()
+        ms_c.collect_stats()
     )
 
 
@@ -197,14 +161,13 @@ def _fingerprint(report) -> dict:
 def test_replay_modes_identical_end_to_end(
     graph, rect, kernel, settings_name
 ):
-    """scalar == batched == array on the full stats + output surface,
-    across bypass configurations and a barrier-heavy schedule."""
+    """scalar == compiled on the full stats + output surface, across
+    bypass configurations and a barrier-heavy schedule."""
     a = graph if kernel == "spmm" else rect
     settings = SETTINGS[settings_name]
     want = _fingerprint(_run(a, kernel, "scalar", settings=settings))
-    for replay in ("batched", "array"):
-        got = _fingerprint(_run(a, kernel, replay, settings=settings))
-        assert got == want, f"{kernel}/{settings_name}[{replay}]"
+    got = _fingerprint(_run(a, kernel, "compiled", settings=settings))
+    assert got == want, f"{kernel}/{settings_name}"
 
 
 @pytest.mark.parametrize(
@@ -214,17 +177,9 @@ def test_replay_modes_identical_end_to_end(
 def test_array_replay_under_all_execution_backends(
     graph, rect, kernel, execution
 ):
-    """The array backend composes with every execution backend; the
+    """The compiled backend composes with every execution backend; the
     (scalar, scalar) combination is the reference oracle."""
     a = graph if kernel == "spmm" else rect
     want = _fingerprint(_run(a, kernel, "scalar", execution="scalar"))
-    got = _fingerprint(_run(a, kernel, "array", execution=execution))
-    assert got == want, f"{kernel}[{execution}+array]"
-
-
-def test_forced_array_end_to_end(graph, force_array):
-    """Even with the cost model pinned to the NumPy solver the kernel
-    run is bit-identical to the oracle."""
-    want = _fingerprint(_run(graph, "spmm", "scalar"))
-    got = _fingerprint(_run(graph, "spmm", "array"))
-    assert got == want
+    got = _fingerprint(_run(a, kernel, "compiled", execution=execution))
+    assert got == want, f"{kernel}[{execution}+compiled]"

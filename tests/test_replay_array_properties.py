@@ -1,4 +1,4 @@
-"""Property-based tests (hypothesis) for the array replay backend.
+"""Property-based tests (hypothesis) for compiled replay on array-backed caches.
 
 Three layers of randomized evidence, all shrinkable to tiny
 counterexamples:
@@ -6,23 +6,24 @@ counterexamples:
 * A pure **stack-distance oracle** — the textbook inclusion property
   of LRU (an access hits iff the number of distinct lines touched in
   its set since its previous occurrence is below the associativity) —
-  checked against the scalar ``Cache`` walk.  This is the theory the
-  array solver is built on; if it ever disagreed with the dict walk,
-  every downstream equivalence argument would be void.
-* The **array solver on a bare cache** with random geometry (sets,
-  ways, footprint) and random traces, vs the scalar walk AND the
-  oracle: counters, per-set LRU order, dirty bits.  The cost model is
-  disabled so the NumPy path (small-footprint fast path or dominance
-  solver, whichever the trace selects) is always the thing under test.
+  checked against the scalar ``Cache`` walk.  If it ever disagreed
+  with the dict walk, every downstream equivalence argument would be
+  void.
+* The **array-backed cache** (``ArrayCache``, whose ``access`` is the
+  compiled kernel's per-access routine) with random geometry — one way,
+  the 20-way L2 shape, non-power-of-two set counts — warm state
+  cross-loaded from the oracle with ``load_state_dict``, and a flush in
+  mid-stream, vs the scalar walk AND the oracle: hits, dirty victims,
+  counters, per-set LRU order, dirty bits.
 * **Full MemorySystem traces** — random interleaved dense / bypass /
-  stream ops with random chunk boundaries, replayed through
-  ``replay="array"`` vs the scalar oracle: every AccessStats counter
-  and the complete hierarchy state.
+  stream ops with random cache geometry, warm state, a mid-stream flush
+  and random chunk boundaries, replayed through ``replay="compiled"`` vs
+  the scalar oracle: per-access service levels, every AccessStats
+  counter and the complete hierarchy state.
 """
 
 from __future__ import annotations
 
-import contextlib
 import dataclasses
 
 import numpy as np
@@ -30,6 +31,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.config import CacheConfig, scaled_config
 from repro.memory.cache import Cache
+from repro.memory.compiled import ArrayCache
 from repro.memory.hierarchy import (
     OP_DENSE,
     OP_DENSE_BYPASS,
@@ -38,7 +40,6 @@ from repro.memory.hierarchy import (
     MemorySystem,
     encode_op,
 )
-import repro.memory.replay_array as replay_array
 
 from tests.test_memory_batched_parity import (
     CACHE_COUNTERS,
@@ -47,22 +48,6 @@ from tests.test_memory_batched_parity import (
     scalar_system_replay,
     system_state,
 )
-
-
-@contextlib.contextmanager
-def forced_array():
-    """Pin dispatch to the NumPy solver for the duration of a block.
-
-    A plain context manager (not a pytest fixture) so hypothesis does
-    not see function-scoped fixture state shared across examples.
-    """
-    saved = (replay_array.ARRAY_MIN_EVENTS, replay_array._PY_HIT_US)
-    replay_array.ARRAY_MIN_EVENTS = 0
-    replay_array._PY_HIT_US = 1e9
-    try:
-        yield
-    finally:
-        replay_array.ARRAY_MIN_EVENTS, replay_array._PY_HIT_US = saved
 
 
 # ---------------------------------------------------------------------------
@@ -92,8 +77,8 @@ def stack_distance_reference(lines, num_sets: int, ways: int):
     return hits
 
 
-def scalar_replay(cache: Cache, lines, writes):
-    return [cache.access(l, w)[0] for l, w in zip(lines, writes)]
+def scalar_replay(cache, lines, writes):
+    return [cache.access(l, w) for l, w in zip(lines, writes)]
 
 
 traces = st.lists(
@@ -116,22 +101,26 @@ def test_scalar_cache_matches_stack_distance_oracle(
     assert cache.num_sets == num_sets
     lines = [t[0] for t in trace]
     writes = [t[1] for t in trace]
-    assert scalar_replay(cache, lines, writes) == (
+    assert [h for h, _ in scalar_replay(cache, lines, writes)] == (
         stack_distance_reference(lines, num_sets, ways)
     )
 
 
 # ---------------------------------------------------------------------------
-# Array solver vs brute force on random (sets, ways, trace)
+# ArrayCache vs the oracle on random geometry, warm state and flushes
 # ---------------------------------------------------------------------------
+
+# One way, small associativities, the 12-way LLC and 20-way L2 shapes.
+WAYS = st.sampled_from([1, 2, 3, 4, 8, 12, 20])
+# Powers of two and not.
+NUM_SETS = st.sampled_from([1, 2, 3, 4, 5, 7, 8])
 
 
 @st.composite
 def geometry_and_trace(draw):
-    ways = draw(st.integers(1, 8))
-    num_sets = 1 << draw(st.integers(0, 3))
-    # Footprints from "fits in one set" (fast path) to far beyond
-    # capacity (dominance path): both solver branches get traffic.
+    ways = draw(WAYS)
+    num_sets = draw(NUM_SETS)
+    # Footprints from "fits in one set" to far beyond capacity.
     footprint = draw(st.sampled_from([ways, 2 * ways, 24, 200]))
     trace = draw(
         st.lists(
@@ -140,52 +129,66 @@ def geometry_and_trace(draw):
             max_size=150,
         )
     )
-    return ways, num_sets, trace
+    warm = draw(st.integers(0, len(trace)))
+    flush_at = draw(st.integers(warm, len(trace)))
+    return ways, num_sets, trace, warm, flush_at
 
 
 @given(geometry_and_trace())
-@settings(max_examples=80, deadline=None)
+@settings(max_examples=120, deadline=None)
 def test_array_solver_matches_bruteforce(params):
-    ways, num_sets, trace = params
+    ways, num_sets, trace, warm, flush_at = params
     cfg = CacheConfig(
         size_bytes=64 * ways * num_sets, associativity=ways
     )
-    lines = np.array([t[0] for t in trace], dtype=np.int64)
-    writes = np.array([t[1] for t in trace], dtype=bool)
+    lines = [t[0] for t in trace]
+    writes = [t[1] for t in trace]
 
     oracle = Cache(cfg, name="oracle")
-    solved = Cache(cfg, name="array")
-    # Split at a random-ish point: solver state must carry across
-    # calls exactly like the incremental walk's does.
-    cut = len(trace) // 2
-    with forced_array():
-        for lo, hi in ((0, cut), (cut, len(trace))):
-            if hi == lo:
-                continue
-            chunk = lines[lo:hi]
-            set_id = chunk % num_sets
-            replay_array._replay_level_array(
-                solved,
-                chunk,
-                writes[lo:hi],
-                None,
-                np.arange(hi - lo, dtype=np.int64),
-                set_id,
-                np.unique(set_id),
-            )
-    s_hits = scalar_replay(oracle, lines.tolist(), writes.tolist())
-    assert s_hits == stack_distance_reference(
-        lines.tolist(), num_sets, ways
-    )
-    assert counters(oracle, CACHE_COUNTERS) == counters(
-        solved, CACHE_COUNTERS
-    )
-    assert cache_state(oracle) == cache_state(solved)
+    compiled = ArrayCache(cfg, name="compiled")
+    # Warm-up on the oracle only; the array cache inherits its state.
+    scalar_replay(oracle, lines[:warm], writes[:warm])
+    compiled.load_state_dict(oracle.state_dict())
+    assert compiled.state_dict() == oracle.state_dict()
+    for lo, hi in ((warm, flush_at), (flush_at, len(trace))):
+        want = scalar_replay(oracle, lines[lo:hi], writes[lo:hi])
+        got = scalar_replay(compiled, lines[lo:hi], writes[lo:hi])
+        assert got == want
+        assert counters(oracle, CACHE_COUNTERS) == counters(
+            compiled, CACHE_COUNTERS
+        )
+        assert cache_state(oracle) == cache_state(compiled)
+        assert oracle.dirty_lines() == compiled.dirty_lines()
+        if hi == flush_at:
+            assert oracle.flush() == compiled.flush()
+    assert compiled.state_dict() == oracle.state_dict()
+    # A flush empties every set, so the oracle restarts cold after it.
+    hits = [h for h, _ in scalar_replay(Cache(cfg), lines[:flush_at],
+                                        writes[:flush_at])]
+    assert hits == stack_distance_reference(lines[:flush_at], num_sets, ways)
 
 
 # ---------------------------------------------------------------------------
 # Full MemorySystem parity on random op traces
 # ---------------------------------------------------------------------------
+
+
+def _cache(draw, max_sets: int = 8) -> CacheConfig:
+    ways = draw(WAYS)
+    num_sets = draw(st.integers(1, max_sets))
+    return CacheConfig(size_bytes=64 * ways * num_sets, associativity=ways)
+
+
+@st.composite
+def system_configs(draw):
+    cfg = scaled_config(2, cache_shrink=8)
+    pe = dataclasses.replace(
+        cfg.pe, l1d=_cache(draw, 4), victim_cache=_cache(draw, 4)
+    )
+    mem = dataclasses.replace(
+        cfg.memory, l2=_cache(draw), llc_slice=_cache(draw), num_llc_slices=1
+    )
+    return dataclasses.replace(cfg, pe=pe, memory=mem)
 
 
 @st.composite
@@ -203,36 +206,41 @@ def op_traces(draw):
             max_size=200,
         )
     )
-    cut = draw(st.integers(0, len(ops)))
+    warm = draw(st.integers(0, len(ops)))
+    cut = draw(st.integers(warm, len(ops)))
     pe_ids = (draw(st.integers(0, 1)), draw(st.integers(0, 1)))
-    return ops, cut, pe_ids
+    flush = draw(st.sampled_from(["none", "pe", "all"]))
+    return ops, warm, cut, pe_ids, flush
 
 
-@given(op_traces())
-@settings(max_examples=40, deadline=None)
-def test_memory_system_array_matches_scalar(params):
-    ops, cut, pe_ids = params
-    cfg = scaled_config(2, cache_shrink=8)
-    cfg_a = dataclasses.replace(cfg, replay="array")
-    ms_s = MemorySystem(cfg)
-    ms_a = MemorySystem(cfg_a)
+@given(system_configs(), op_traces())
+@settings(max_examples=60, deadline=None)
+def test_memory_system_array_matches_scalar(cfg, params):
+    ops, warm, cut, pe_ids, flush = params
+    ms_s = MemorySystem(dataclasses.replace(cfg, replay="scalar"))
+    ms_c = MemorySystem(dataclasses.replace(cfg, replay="compiled"))
     lines = np.array([o[0] for o in ops], dtype=np.int64)
     enc = np.array(
         [encode_op(int(p), bool(w), int(r)) for _, p, w, r in ops],
         dtype=np.int64,
     )
-    with forced_array():
-        for (lo, hi), pe_id in zip(
-            ((0, cut), (cut, len(ops))), pe_ids
-        ):
-            if hi == lo:
-                continue
+    # Warm state: replayed on the oracle, then loaded into both.
+    scalar_system_replay(ms_s, pe_ids[0], lines[:warm], enc[:warm])
+    ms_c.load_state_dict(ms_s.state_dict())
+    assert ms_c.state_dict() == ms_s.state_dict()
+    for (lo, hi), pe_id in zip(((warm, cut), (cut, len(ops))), pe_ids):
+        if hi > lo:
             lv_s = scalar_system_replay(
                 ms_s, pe_id, lines[lo:hi], enc[lo:hi]
             )
-            lv_a = ms_a.replay_trace(pe_id, lines[lo:hi], enc[lo:hi])
-            assert np.array_equal(lv_s, lv_a)
+            lv_c = ms_c.replay_trace(pe_id, lines[lo:hi], enc[lo:hi])
+            assert np.array_equal(lv_s, lv_c)
+        if hi == cut and flush == "pe":
+            assert ms_s.flush_pe(pe_id) == ms_c.flush_pe(pe_id)
+        elif hi == cut and flush == "all":
+            assert ms_s.flush_all() == ms_c.flush_all()
     assert dataclasses.asdict(ms_s.collect_stats()) == (
-        dataclasses.asdict(ms_a.collect_stats())
+        dataclasses.asdict(ms_c.collect_stats())
     )
-    assert system_state(ms_s) == system_state(ms_a)
+    assert system_state(ms_s) == system_state(ms_c)
+    assert ms_c.state_dict() == ms_s.state_dict()

@@ -251,6 +251,38 @@ class TestKillAndResume:
         )
         assert fingerprint(report) == fingerprint(golden)
 
+    @pytest.mark.parametrize(
+        "written,resumed", [("compiled", "scalar"), ("scalar", "compiled")]
+    )
+    def test_cross_replay_resume(
+        self, tmp_path, workload, base_config, golden, written, resumed
+    ):
+        """A checkpoint written under one replay mode resumes
+        bit-identically under the other (the replay ladder's step)."""
+        a, b, _ = workload
+        cfg = dataclasses.replace(
+            self._with_resilience(
+                base_config, "vectorized", checkpoint_dir=str(tmp_path)
+            ),
+            replay=written,
+        )
+        monkey = ChaosMonkey(ChaosConfig(kill_after_epoch=1))
+        with pytest.raises(InjectedCrash):
+            SpadeSystem(cfg, chaos=monkey).spmm(
+                a, b, settings=MULTI_EPOCH_SETTINGS
+            )
+        resumed_cfg = dataclasses.replace(
+            self._with_resilience(
+                base_config, "vectorized", checkpoint_dir=str(tmp_path),
+                resume=True,
+            ),
+            replay=resumed,
+        )
+        report = SpadeSystem(resumed_cfg).spmm(
+            a, b, settings=MULTI_EPOCH_SETTINGS
+        )
+        assert fingerprint(report) == fingerprint(golden)
+
     def test_checkpointing_does_not_perturb_results(
         self, tmp_path, workload, base_config, golden
     ):

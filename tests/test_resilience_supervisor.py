@@ -24,6 +24,7 @@ from repro.errors import (
 )
 from repro.resilience import (
     DEGRADATION_LADDER,
+    REPLAY_LADDER,
     ChaosConfig,
     ChaosMonkey,
     InjectedFault,
@@ -146,6 +147,7 @@ class TestWatchdog:
 class TestDegradationLadder:
     def test_ladder_order(self):
         assert DEGRADATION_LADDER == ("pipelined", "vectorized", "scalar")
+        assert REPLAY_LADDER == ("compiled", "scalar")
 
     def test_pipelined_faults_degrade_to_vectorized(
         self, workload, base_config, scalar_oracle
@@ -346,24 +348,23 @@ class TestCombinedReplayLadder:
 
     def test_rungs_from_the_top(self):
         sup = make_supervisor()
-        assert sup._ladder("pipelined", "array") == (
-            ("pipelined", "array"),
-            ("vectorized", "batched"),
+        assert sup._ladder("pipelined", "compiled") == (
+            ("pipelined", "compiled"),
+            ("vectorized", "scalar"),
             ("scalar", "scalar"),
         )
 
     def test_rungs_from_the_middle(self):
         sup = make_supervisor()
-        assert sup._ladder("vectorized", "batched") == (
-            ("vectorized", "batched"),
+        assert sup._ladder("vectorized", "compiled") == (
+            ("vectorized", "compiled"),
             ("scalar", "scalar"),
         )
 
     def test_shorter_ladder_is_padded_with_its_last_rung(self):
         sup = make_supervisor()
-        assert sup._ladder("scalar", "array") == (
-            ("scalar", "array"),
-            ("scalar", "batched"),
+        assert sup._ladder("scalar", "compiled") == (
+            ("scalar", "compiled"),
             ("scalar", "scalar"),
         )
         assert sup._ladder("pipelined", "scalar") == (
@@ -374,8 +375,8 @@ class TestCombinedReplayLadder:
 
     def test_degrade_disabled_keeps_one_rung(self):
         sup = make_supervisor(degrade=False)
-        assert sup._ladder("pipelined", "array") == (
-            ("pipelined", "array"),
+        assert sup._ladder("pipelined", "compiled") == (
+            ("pipelined", "compiled"),
         )
 
     def test_outcome_degraded_when_only_replay_stepped(self):
@@ -384,7 +385,7 @@ class TestCombinedReplayLadder:
         outcome = RunOutcome(
             backend="scalar", requested_backend="scalar",
             attempts=2, retries=0, degradations=1,
-            replay="batched", requested_replay="array",
+            replay="scalar", requested_replay="compiled",
         )
         assert outcome.degraded
 
@@ -397,13 +398,13 @@ class TestCombinedReplayLadder:
         )
         sup = make_supervisor(chaos=monkey, backoff_base_s=0.0)
         cfg = dataclasses.replace(
-            base_config, execution="pipelined", replay="array"
+            base_config, execution="pipelined", replay="compiled"
         )
         report = sup.run_kernel(cfg, "spmm", a, b)
         outcome = sup.last_outcome
         assert outcome.backend == "vectorized"
-        assert outcome.replay == "batched"
-        assert outcome.requested_replay == "array"
+        assert outcome.replay == "scalar"
+        assert outcome.requested_replay == "compiled"
         assert outcome.degraded
         # Degrading never changes results.
         np.testing.assert_array_equal(report.output, scalar_oracle.output)
@@ -414,10 +415,10 @@ class TestCombinedReplayLadder:
     ):
         a, b = workload
         sup = make_supervisor()
-        cfg = dataclasses.replace(base_config, replay="array")
+        cfg = dataclasses.replace(base_config, replay="compiled")
         report = sup.run_kernel(cfg, "spmm", a, b)
         outcome = sup.last_outcome
-        assert outcome.replay == "array"
-        assert outcome.requested_replay == "array"
+        assert outcome.replay == "compiled"
+        assert outcome.requested_replay == "compiled"
         assert not outcome.degraded
         np.testing.assert_array_equal(report.output, scalar_oracle.output)

@@ -33,7 +33,11 @@ def run_traced(replay: str, telemetry: TelemetryConfig):
     return system, system.spmm(a, b)
 
 
-@pytest.mark.parametrize("replay", ["scalar", "batched"])
+# Compiled replay hands each chunk to the kernel in one batch; its ids
+# say ``batched``, against the per-access ``scalar`` oracle.
+@pytest.mark.parametrize(
+    "replay", ["scalar", "compiled"], ids=["scalar", "batched"]
+)
 class TestMetricsMatchStats:
     def test_level_counters_equal_access_stats(self, replay):
         system, report = run_traced(
@@ -145,29 +149,29 @@ class TestMetricsMatchStats:
 class TestReplayBatchHistogram:
     def test_populated_only_in_batched_mode(self):
         sys_s, _ = run_traced("scalar", TelemetryConfig(metrics=True))
-        sys_b, _ = run_traced("batched", TelemetryConfig(metrics=True))
+        sys_b, _ = run_traced("compiled", TelemetryConfig(metrics=True))
         scalar_obs = sum(
             s.value
             for s in sys_s.telemetry.metrics.samples()
             if s.name == "spade_replay_batch_accesses"
         )
-        batched = [
+        chunked = [
             s for s in sys_b.telemetry.metrics.samples()
             if s.name == "spade_replay_batch_accesses"
         ]
         assert scalar_obs == 0  # flush_trace no-ops in scalar mode
-        assert batched, "batched mode must record chunk sizes"
+        assert chunked, "chunk-batched compiled replay must record sizes"
 
 
 class TestDisabledByDefault:
     def test_default_config_records_nothing(self):
-        system, report = run_traced("batched", TelemetryConfig())
+        system, report = run_traced("compiled", TelemetryConfig())
         assert not system.telemetry.enabled
         assert len(system.telemetry.metrics) == 0
         assert system.telemetry.tracer.events == []
         # ...and the measured result is identical to a metered run.
         sys_on, rep_on = run_traced(
-            "batched", TelemetryConfig(metrics=True, trace=True)
+            "compiled", TelemetryConfig(metrics=True, trace=True)
         )
         assert report.result.time_ns == rep_on.result.time_ns
         assert dataclasses.asdict(

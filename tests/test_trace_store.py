@@ -41,7 +41,7 @@ def _workload(nnz: int = 30_000, num_rows: int = 1024, seed: int = 3):
     return a, b, c
 
 
-def _run(a, b, c, store=None, execution="pipelined", replay="array",
+def _run(a, b, c, store=None, execution="pipelined", replay="compiled",
          cache_shrink=8.0, chunk_nnz=8192):
     cfg = dataclasses.replace(
         scaled_config(4, cache_shrink=cache_shrink),
@@ -180,8 +180,8 @@ class TestEngineTraceCacheParity:
 
     def test_shared_across_replay_backends(self, tmp_path):
         a, b, c = _workload()
-        cold, _ = _run(a, b, c, TraceStore(tmp_path), replay="array")
-        warm, cw = _run(a, b, c, TraceStore(tmp_path), replay="batched")
+        cold, _ = _run(a, b, c, TraceStore(tmp_path), replay="compiled")
+        warm, cw = _run(a, b, c, TraceStore(tmp_path), replay="scalar")
         assert cw["gen_invocations"] == 0 and cw["hits"] >= 1
         assert _facts(cold) == _facts(warm)
 
