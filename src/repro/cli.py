@@ -672,8 +672,12 @@ def build_parser() -> argparse.ArgumentParser:
                        "bit-identical, they differ only in host speed")
         p.add_argument("--execution", choices=EXECUTION_MODES,
                        default=None,
-                       help="PE execution backend (default: the config "
-                       "default; all modes are bit-identical)")
+                       help="PE execution backend: 'vectorized' "
+                       "(default; NumPy whole-epoch trace solver, "
+                       "falling back to the scalar walker on streams "
+                       "it declines) or 'scalar' (per-nonzero "
+                       "reference oracle); both are bit-identical, "
+                       "they differ only in host speed")
 
     def sweep_flags(p):
         grp = p.add_argument_group("parallel sweep")
@@ -694,7 +698,7 @@ def build_parser() -> argparse.ArgumentParser:
         grp.add_argument("--trace-cache-dir", type=Path, default=None,
                          metavar="DIR",
                          help="content-addressed epoch-trace store: "
-                         "vectorized/pipelined runs reuse cached "
+                         "vectorized runs reuse cached "
                          "generated traces (keyed by workload + "
                          "schedule + VRF config only, so entries are "
                          "shared across cache-geometry ablations); "

@@ -11,9 +11,7 @@ epochs accumulate (Section 4.3, Figure 5b).
 
 from __future__ import annotations
 
-import os
 import time
-from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
@@ -95,25 +93,6 @@ class _ChunkCursor:
         return None
 
 
-class _InlineExecutor:
-    """Executor twin for ``pipeline.pool == "serial"``: runs each
-    submitted task synchronously on the caller's thread, so the whole
-    producer/consumer machinery executes deterministically without
-    threads (done-callbacks fire inline; the chained re-submission
-    recursion is bounded by the lookahead)."""
-
-    def submit(self, fn, *args) -> Future:
-        fut: Future = Future()
-        try:
-            fut.set_result(fn(*args))
-        except BaseException as exc:  # mirror ThreadPoolExecutor
-            fut.set_exception(exc)
-        return fut
-
-    def shutdown(self, wait: bool = True) -> None:
-        pass
-
-
 class Engine:
     """Binds a config, memory system, and PEs to execute one kernel."""
 
@@ -165,12 +144,10 @@ class Engine:
         # replays it in one call per chunk; "scalar" is the per-access
         # reference oracle (bit-identical results).
         # Execution mode: "scalar" walks every nonzero in Python;
-        # "vectorized" derives the chunk trace with NumPy + a reduced
-        # tight loop; "pipelined" additionally overlaps generation with
-        # replay (bit-identical results in all combinations).
+        # "vectorized" solves each PE's whole-epoch trace with NumPy
+        # (bit-identical results in all combinations).
         self.batched_replay = config.replay != "scalar"
         self.execution = config.execution
-        self.buffered = self.batched_replay or self.execution != "scalar"
         # Content-addressed trace cache: generated epoch traces are a
         # pure function of (workload, schedule/chunking, GenConfig) —
         # cache geometry, replay backend, execution mode and telemetry
@@ -188,7 +165,6 @@ class Engine:
             ProcessingElement(
                 i, config.pe, self.memory, init, address_map, policy,
                 batched=self.batched_replay,
-                execution=self.execution,
                 telemetry=self.telemetry,
             )
             for i in range(config.num_pes)
@@ -330,7 +306,7 @@ class Engine:
         apply_chunk,
         output: np.ndarray,
         primitive: str,
-        gen_epoch=None,
+        gen_epoch,
     ) -> Tuple[List[EpochTiming], List[float]]:
         schedule = self._schedule
         if schedule is None:
@@ -344,7 +320,7 @@ class Engine:
         # material): only computed when a store is attached.
         self._store_material = (
             self._trace_material(primitive)
-            if self.trace_store is not None and gen_epoch is not None
+            if self.trace_store is not None
             else None
         )
         epoch_results: List[EpochTiming] = []
@@ -365,98 +341,75 @@ class Engine:
         # chunk_index (and chaos targeting) identifies the n-th chunk a
         # PE processed this run, across epochs.
         self._chunk_ordinal = [0] * self.config.num_pes
-        pipelined = self.execution == "pipelined"
-        executor = None
-        if pipelined:
-            # On a single-hardware-thread host a thread pool cannot
-            # overlap anything — every "concurrent" producer serializes
-            # behind the GIL *and* the one core, so the pool only adds
-            # scheduling overhead.  Producers are deterministic per PE,
-            # so running them inline is observationally identical.
-            if (
-                self.config.pipeline.pool == "thread"
-                and (os.cpu_count() or 1) > 1
+        for epoch_idx, epoch in enumerate(schedule.epochs):
+            if epoch_idx < start_epoch:
+                continue
+            for pe in self.pes:
+                pe.counters = PECounters()
+            dram_before = self.memory.dram.accesses
+            cursors = [
+                _ChunkCursor(tiles, self.chunk_nnz) for tiles in epoch
+            ]
+            # Host-side phase split (gen / merge / replay seconds)
+            # accumulated by the epoch drivers when a ledger is
+            # attached; None keeps the hot loops on their original
+            # paths.
+            phase = [0.0, 0.0, 0.0] if self.ledger.enabled else None
+            fused_chunks = 0
+            with self.telemetry.tracer.span(
+                f"epoch[{epoch_idx}]", cat="epoch",
+                args={"epoch": epoch_idx},
             ):
-                executor = ThreadPoolExecutor(
-                    max_workers=self.config.pipeline.workers,
-                    thread_name_prefix="spade-gen",
+                if self.execution != "scalar":
+                    fused_chunks = self._run_epoch_phased(
+                        cursors, gen_epoch, apply_chunk, phase, epoch_idx
+                    )
+                else:
+                    self._run_epoch_serial(
+                        cursors, gen_chunk, apply_chunk, phase
+                    )
+            per_pe = [pe.counters for pe in self.pes]
+            self._epoch_counters.append(per_pe)
+            dram_lines = self.memory.dram.accesses - dram_before
+            timing = epoch_timing(
+                per_pe, dram_lines, self.config, self.memory
+            )
+            epoch_results.append(timing)
+            for i, t in enumerate(timing.pe_times_ns):
+                per_pe_total[i] += t
+            self._record_epoch_telemetry(epoch_idx, timing, dram_lines)
+            if phase is not None:
+                self.ledger.emit(
+                    "epoch",
+                    epoch=epoch_idx,
+                    gen_s=phase[0],
+                    merge_s=phase[1],
+                    replay_s=phase[2],
+                    epoch_time_ns=float(timing.epoch_time_ns),
+                    dram_lines=int(dram_lines),
+                    critical_pe=int(timing.critical_pe),
+                    fused_chunks=int(fused_chunks),
                 )
-            else:
-                executor = _InlineExecutor()
-        try:
-            for epoch_idx, epoch in enumerate(schedule.epochs):
-                if epoch_idx < start_epoch:
-                    continue
-                for pe in self.pes:
-                    pe.counters = PECounters()
-                dram_before = self.memory.dram.accesses
-                cursors = [
-                    _ChunkCursor(tiles, self.chunk_nnz) for tiles in epoch
-                ]
-                # Host-side phase split (gen / merge / replay seconds)
-                # accumulated by the epoch drivers when a ledger is
-                # attached; None keeps the hot loops on their original
-                # paths.
-                phase = [0.0, 0.0, 0.0] if self.ledger.enabled else None
-                fused_chunks = 0
-                with self.telemetry.tracer.span(
-                    f"epoch[{epoch_idx}]", cat="epoch",
-                    args={"epoch": epoch_idx},
-                ):
-                    if gen_epoch is not None and self.execution != "scalar":
-                        fused_chunks = self._run_epoch_phased(
-                            executor, cursors, gen_epoch, apply_chunk,
-                            phase, epoch_idx,
-                        )
-                    else:
-                        self._run_epoch_serial(
-                            cursors, gen_chunk, apply_chunk, phase
-                        )
-                per_pe = [pe.counters for pe in self.pes]
-                self._epoch_counters.append(per_pe)
-                dram_lines = self.memory.dram.accesses - dram_before
-                timing = epoch_timing(
-                    per_pe, dram_lines, self.config, self.memory
+            if self._ckpt is not None and self._ckpt.should_write(
+                epoch_idx
+            ):
+                ckpt_t0 = time.perf_counter()
+                self._ckpt.write(
+                    epoch_idx,
+                    self._snapshot(
+                        epoch_idx + 1, output, epoch_results,
+                        per_pe_total,
+                    ),
+                    meta=self._ckpt_meta(primitive),
                 )
-                epoch_results.append(timing)
-                for i, t in enumerate(timing.pe_times_ns):
-                    per_pe_total[i] += t
-                self._record_epoch_telemetry(epoch_idx, timing, dram_lines)
                 if phase is not None:
                     self.ledger.emit(
-                        "epoch",
+                        "checkpoint",
                         epoch=epoch_idx,
-                        gen_s=phase[0],
-                        merge_s=phase[1],
-                        replay_s=phase[2],
-                        epoch_time_ns=float(timing.epoch_time_ns),
-                        dram_lines=int(dram_lines),
-                        critical_pe=int(timing.critical_pe),
-                        fused_chunks=int(fused_chunks),
+                        wall_s=time.perf_counter() - ckpt_t0,
                     )
-                if self._ckpt is not None and self._ckpt.should_write(
-                    epoch_idx
-                ):
-                    ckpt_t0 = time.perf_counter()
-                    self._ckpt.write(
-                        epoch_idx,
-                        self._snapshot(
-                            epoch_idx + 1, output, epoch_results,
-                            per_pe_total,
-                        ),
-                        meta=self._ckpt_meta(primitive),
-                    )
-                    if phase is not None:
-                        self.ledger.emit(
-                            "checkpoint",
-                            epoch=epoch_idx,
-                            wall_s=time.perf_counter() - ckpt_t0,
-                        )
-                if self._chaos is not None:
-                    self._chaos.after_epoch(epoch_idx)
-        finally:
-            if executor is not None:
-                executor.shutdown(wait=True)
+            if self._chaos is not None:
+                self._chaos.after_epoch(epoch_idx)
         return epoch_results, per_pe_total
 
     # -- checkpoint plumbing ---------------------------------------------
@@ -493,8 +446,8 @@ class Engine:
     ) -> dict:
         """Full architectural + accumulator state at an epoch boundary.
 
-        Safe exactly here: trace buffers are empty (flushed or taken per
-        chunk), the pipelined queues are drained, and each finished
+        Safe exactly here: trace buffers are empty (flushed per chunk or
+        cleared after the epoch's replay), and each finished
         epoch's PE counters are already archived in _epoch_counters —
         so caches, STLBs, BBFs, VRFs, the output accumulator, and the
         schedule cursor (= next_epoch, since chunking restarts per
@@ -542,7 +495,7 @@ class Engine:
         self, cursors, gen_chunk, apply_chunk, phase=None
     ) -> None:
         """Round-robin chunk interleave with generation and replay in
-        line (the scalar and vectorized execution modes).
+        line (the scalar execution mode).
 
         ``phase`` (ledger runs only) accumulates host seconds as
         ``[gen, merge, replay]``; the un-timed loop is untouched when
@@ -550,7 +503,7 @@ class Engine:
         """
         tracer = self.telemetry.tracer
         trace_chunks = tracer.enabled and self.config.telemetry.trace_chunks
-        buffered = self.buffered
+        buffered = self.batched_replay
         chaos = self._chaos
         execution = self.execution
         chunk_ordinal = self._chunk_ordinal
@@ -688,19 +641,14 @@ class Engine:
         return base
 
     def _run_epoch_phased(
-        self, executor, cursors, gen_epoch, apply_chunk, phase, epoch_idx
+        self, cursors, gen_epoch, apply_chunk, phase, epoch_idx
     ) -> int:
-        """Epoch driver for the fused execution modes: Phase A derives
-        each PE's *whole epoch* trace in one pass (or restores it from
-        the trace store), Phase B replays the coalesced round-robin
-        dispatch runs against the shared memory system.
-
-        With an executor (pipelined mode) Phase A runs one producer
-        task per PE and Phase B consumes each PE's epoch the first time
-        the dispatch order needs it — generation of later PEs overlaps
-        replay of earlier ones.  Results are bit-identical either way.
-        Returns the number of chunks generated via the fused solver
-        (for the ``spade_gen_fused_chunks`` satellite counter).
+        """Epoch driver for the vectorized execution mode: Phase A
+        derives each PE's *whole epoch* trace in one pass, in PE order
+        (or restores it from the trace store), Phase B replays the
+        coalesced round-robin dispatch runs against the shared memory
+        system.  Returns the number of chunks generated via the fused
+        solver (for the ``spade_gen_fused_chunks`` satellite counter).
         """
         parts = self._collect_epoch_parts(cursors)
         num = len(self.pes)
@@ -745,18 +693,12 @@ class Engine:
             "spade_gen_chunk_seconds",
             help="wall-clock per-PE epoch trace-generation time",
         )
-        depth_hist = m.histogram(
-            "spade_pipeline_queue_depth",
-            help="ready generated PE epochs at consume time",
-        )
 
         traces: List[Optional[Tuple[np.ndarray, np.ndarray]]] = [None] * num
         segs: List[Optional[List[Tuple[int, int]]]] = [None] * num
         payloads: List[Optional[dict]] = [None] * num
         fused_chunks = 0
         capture = entry is None and store is not None and key is not None
-        serial_views = False
-        collect_fn = None
 
         if entry is not None:
             from repro.memory.trace_store import unpack_pe_entry
@@ -764,14 +706,9 @@ class Engine:
             for i, pe in enumerate(self.pes):
                 self._advance_chunks(i, len(parts[i]))
                 traces[i], segs[i] = unpack_pe_entry(pe, entry["pes"][i])
-        elif executor is None or isinstance(executor, _InlineExecutor):
-            # Serial phase A: generate every PE's epoch in PE order;
-            # the trace stays in the PE's own buffer (zero-copy views).
-            # An inline executor would run the same producers eagerly at
-            # submit time anyway — same order, same results — but pay a
-            # take_trace() copy per PE; route it through the zero-copy
-            # path instead.
-            serial_views = True
+        else:
+            # Phase A: generate every PE's epoch in PE order; the trace
+            # stays in the PE's own buffer (zero-copy views).
             for i, pe in enumerate(self.pes):
                 self._advance_chunks(i, len(parts[i]))
                 span = (
@@ -795,64 +732,12 @@ class Engine:
                 if parts[i]:
                     stats["gen_invocations"] += 1
                 traces[i] = pe._trace.views()
-        else:
-            # Pipelined phase A: one producer task per PE.  Ordinals and
-            # faults are claimed on this thread first so fault order is
-            # deterministic; producers only run generation.
-            for i in range(num):
-                self._advance_chunks(i, len(parts[i]))
-
-            def produce(i: int):
-                pe = self.pes[i]
-                t0 = time.perf_counter()
-                seg, fused, payload = self._gen_pe_epoch(
-                    i, pe, parts[i], gen_epoch, capture
-                )
-                lines, ops = pe.take_trace()
-                return seg, fused, payload, lines, ops, (
-                    time.perf_counter() - t0
-                )
-
-            futs = [executor.submit(produce, i) for i in range(num)]
-
-            def collect(i: int) -> None:
-                try:
-                    seg, fused, payload, lines, ops, gen_s = futs[i].result()
-                except SpadeError:
-                    raise
-                except Exception as exc:
-                    raise EngineExecutionError(
-                        "pipelined worker failed while generating an "
-                        "epoch trace",
-                        pe_id=i,
-                    ) from exc
-                depth_hist.observe(
-                    sum(1 for f in futs if f.done()) - 1
-                )
-                gen_hist.observe(gen_s)
-                segs[i] = seg
-                payloads[i] = payload
-                traces[i] = (lines, ops)
-                nonlocal fused_chunks
-                if fused:
-                    fused_chunks += len(parts[i])
-                if parts[i]:
-                    stats["gen_invocations"] += 1
-                if phase is not None:
-                    # Producer-thread wall time (overlapped with
-                    # replay): the phase split attributes cost, not
-                    # critical-path latency.
-                    phase[0] += gen_s
-
-            collect_fn = collect
 
         # Phase B: coalesced round-robin replay + output math.
         chaos = self._chaos
         runs = self._coalesced_dispatch(parts)
         for i, c0, c1 in runs:
             pe = self.pes[i]
-            if collect_fn is not None and traces[i] is None:
-                collect_fn(i)
             base = self._chunk_ordinal[i] - len(parts[i])
             try:
                 for c in range(c0, c1):
@@ -888,14 +773,6 @@ class Engine:
                     pe_id=i,
                     chunk_index=base + c0,
                 ) from exc
-        if collect_fn is not None:
-            # Drain producers the dispatch never touched (zero-chunk
-            # PEs): their tasks still ran and must not straddle into
-            # the next epoch's generation.
-            for i in range(num):
-                if traces[i] is None:
-                    collect_fn(i)
-
         if capture and all(
             p is not None or not parts[i]
             for i, p in enumerate(payloads)
@@ -917,9 +794,8 @@ class Engine:
                     pes=num,
                     wall_s=time.perf_counter() - t0,
                 )
-        if serial_views:
-            for pe in self.pes:
-                pe._trace.clear()
+        for pe in self.pes:
+            pe._trace.clear()
         stats["fused_chunks"] += fused_chunks
         if m.enabled and fused_chunks:
             m.counter(

@@ -6,7 +6,7 @@ through the exact structures of Figure 7:
 
   Sparse Data Loader -> Sparse Load Queue -> tOp Generator -> tOp queue
   -> vOp Generator (VR allocation via the VRF tag CAM) -> vOp
-  Reservation Stations + Dense Load Queue -> pipelined SIMD -> Store
+  Reservation Stations + Dense Load Queue -> SIMD pipeline -> Store
   Queue (Write-back Manager)
 
 It is used to validate the analytic model's qualitative claims at small

@@ -26,12 +26,7 @@ import numpy as np
 from repro.config import CACHE_LINE_BYTES, PEConfig
 from repro.core.bypass import BypassPolicy
 from repro.core.instructions import InitializationInstruction, Primitive
-from repro.core.vectorized import (
-    TraceBuffer,
-    buffer_sparse_stream,
-    generate_sddmm_chunk,
-    generate_spmm_chunk,
-)
+from repro.core.vectorized import TraceBuffer, buffer_sparse_stream
 from repro.core.vrf import VectorRegisterFile
 from repro.memory.address import AddressMap, padded_row_bytes
 from repro.memory.hierarchy import (
@@ -118,7 +113,6 @@ class ProcessingElement:
         address_map: AddressMap,
         policy: BypassPolicy,
         batched: bool = False,
-        execution: str = "scalar",
         telemetry=None,
     ) -> None:
         self.pe_id = pe_id
@@ -136,15 +130,13 @@ class ProcessingElement:
         k = init.dense_row_size
         self.lines_per_row = padded_row_bytes(k) // CACHE_LINE_BYTES
         self._rmatrix_rows_touched: set = set()
-        # Batched fast path: chunk executors append (line, op) pairs to
+        # Batched replay: chunk executors append (line, op) pairs to
         # the trace buffer instead of issuing scalar accesses; the
         # engine replays the buffer once per chunk via flush_trace().
-        # The vectorized/pipelined execution backends always buffer,
-        # regardless of replay mode (their scalar-replay flush walks the
-        # buffered chunk through the per-access reference paths).
+        # The vectorized execution backend always buffers, regardless
+        # of replay mode (its scalar-replay flush walks the buffered
+        # trace through the per-access reference paths).
         self.batched = batched
-        self.vectorized = execution in ("vectorized", "pipelined")
-        self.buffered = batched or self.vectorized
         self._trace = TraceBuffer()
         # Replay-batch-size histogram; a disabled registry hands back a
         # shared no-op instrument, so observe() stays on the path at
@@ -226,14 +218,9 @@ class ProcessingElement:
         self._replay_chunk(lines, ops)
         self._trace.clear()
 
-    def take_trace(self):
-        """Hand the buffered chunk trace out as owned arrays and reset
-        the buffer (pipelined generate/replay hand-off)."""
-        return self._trace.take()
-
     def replay_segment(self, lines: np.ndarray, ops: np.ndarray) -> None:
-        """Replay a chunk segment previously taken with
-        :meth:`take_trace` (pipelined consumer side)."""
+        """Replay one coalesced run of a generated epoch trace (the
+        vectorized epoch driver's Phase B)."""
         if lines.shape[0]:
             self._replay_chunk(lines, ops)
 
@@ -303,8 +290,6 @@ class ProcessingElement:
         each touching one rMatrix line (read-modify-write in the VRF)
         and one cMatrix line (read-only).
         """
-        if self.vectorized:
-            return generate_spmm_chunk(self, r_ids, c_ids, start_offset)
         if self.batched:
             return self._execute_spmm_chunk_batched(
                 r_ids, c_ids, start_offset
@@ -358,9 +343,10 @@ class ProcessingElement:
         c_ids: np.ndarray,
         start_offset: int,
     ) -> None:
-        """Batched-replay twin of :meth:`execute_spmm_chunk`: identical
-        VRF pipeline, but memory requests are appended to the chunk
-        trace buffer (in issue order) instead of accessed scalar-ly."""
+        """Buffered twin of :meth:`execute_spmm_chunk`: identical VRF
+        pipeline, but memory requests are appended to the chunk trace
+        buffer (in issue order) instead of accessed scalar-ly.  Serves
+        batched replay and the epoch solver's fallback."""
         self._buffer_sparse_stream(start_offset, len(r_ids))
         amap = self.address_map
         vrf = self.vrf
@@ -417,10 +403,6 @@ class ProcessingElement:
         writes one scalar into the output vals array, coalesced into its
         destination VR (``out_offsets`` are positions in the padded
         output array, line-aligned per tile, Section 4.3)."""
-        if self.vectorized:
-            return generate_sddmm_chunk(
-                self, r_ids, c_ids, start_offset, out_offsets
-            )
         if self.batched:
             return self._execute_sddmm_chunk_batched(
                 r_ids, c_ids, start_offset, out_offsets
@@ -486,7 +468,7 @@ class ProcessingElement:
         start_offset: int,
         out_offsets: np.ndarray,
     ) -> None:
-        """Batched-replay twin of :meth:`execute_sddmm_chunk`."""
+        """Buffered twin of :meth:`execute_sddmm_chunk`."""
         self._buffer_sparse_stream(start_offset, len(r_ids))
         amap = self.address_map
         vrf = self.vrf
@@ -561,7 +543,7 @@ class ProcessingElement:
         """Per-PE architectural state at an epoch boundary.
 
         Only valid between epochs: the chunk trace buffer must be empty
-        (flushed or taken) and ``counters`` is excluded because the
+        (flushed or cleared) and ``counters`` is excluded because the
         engine resets it per epoch and archives the per-epoch values
         itself.
         """

@@ -1,16 +1,18 @@
-"""Vectorized chunk-trace generation for the PE layer.
+"""Vectorized whole-epoch trace generation for the PE layer.
 
 The scalar executors in :mod:`repro.core.pe` walk every nonzero in
 Python and push each operand through ``VectorRegisterFile.access``.
-This module derives the same per-chunk VRF access stream *as NumPy
-arrays* straight from the tile's CSR/COO index slices (line-id
-arithmetic through :class:`~repro.memory.address.AddressMap`), elides
-accesses that are provably invisible hits, and drives one generic
-tight loop over what remains.  The emitted ``(lines, ops)`` trace, the
-VRF state and counters, and therefore everything downstream (replay,
-``AccessStats``, ``PECounters``, timing) are bit-identical to the
-scalar oracle — the parity suite in ``tests/test_execution_parity.py``
-pins this per access.
+This module derives the same VRF access stream for a PE's *whole
+epoch* as NumPy arrays straight from the tiles' CSR/COO index slices
+(line-id arithmetic through :class:`~repro.memory.address.AddressMap`),
+elides accesses that are provably invisible hits, and solves what
+remains offline (:func:`_solve_vrf_epoch`).  The emitted ``(lines,
+ops)`` trace, the VRF state and counters, and therefore everything
+downstream (replay, ``AccessStats``, ``PECounters``, timing) are
+bit-identical to the scalar oracle — the parity suite in
+``tests/test_execution_parity.py`` pins this per access.  When the
+solver declines a stream, the epoch falls back to the PE's buffered
+scalar walker (``_execute_*_chunk_batched``), chunk by chunk.
 
 Why elision is exact (full argument in DESIGN.md section 7): CSR order
 makes the rMatrix operand of consecutive nonzeros repeat in long runs,
@@ -52,7 +54,7 @@ VRF solver's hit/miss classifier."""
 _EPOCH_QUERY_VOLUME_CAP = 1 << 24
 """Upper bound on total window positions the epoch solver will probe
 exactly; streams that exceed it (adversarial reuse distances around the
-VRF capacity for most accesses) fall back to the per-chunk walker."""
+VRF capacity for most accesses) fall back to the scalar walker."""
 
 
 class TraceBuffer:
@@ -89,7 +91,8 @@ class TraceBuffer:
             setattr(self, name, arr)
 
     def extend(self, lines: List[int], ops: List[int]) -> None:
-        """Append parallel Python lists (the tight loop's emissions)."""
+        """Append parallel Python lists (the buffered walker's
+        emissions)."""
         k = len(lines)
         if k == 0:
             return
@@ -125,21 +128,6 @@ class TraceBuffer:
         self._lines[n : n + k] = lines
         self._ops[n : n + k] = ops
         self._n = n + k
-
-    def take(self) -> Tuple[np.ndarray, np.ndarray]:
-        """Hand the buffered trace out and reset with fresh storage of
-        the same capacity (pipelined mode hands whole-epoch traces
-        across the generate/replay queue; swapping the storage out
-        instead of copying keeps ``take`` O(1) and the next epoch
-        reuses the warmed-up capacity)."""
-        n = self._n
-        lines = self._lines[:n]
-        ops = self._ops[:n]
-        cap = self._lines.shape[0]
-        self._lines = np.empty(cap, dtype=np.int64)
-        self._ops = np.empty(cap, dtype=np.int64)
-        self._n = 0
-        return lines, ops
 
     def clear(self) -> None:
         self._n = 0
@@ -187,102 +175,6 @@ def _run_keep_mask(ids: np.ndarray, cadence: int) -> np.ndarray:
     return keep
 
 
-def _run_vrf_stream(
-    pe,
-    lines: np.ndarray,
-    dirties: np.ndarray,
-    emit_ops: np.ndarray,
-    skipped_hits: int,
-) -> None:
-    """Drive the PE's VRF over a derived access stream, appending trace
-    emissions (miss loads, eviction stores, drain stores) to the PE's
-    trace buffer in exact scalar order.
-
-    Mirrors ``VectorRegisterFile.access`` state-transition for
-    state-transition, but inlined over the whole chunk: the insertion
-    order of ``vrf._tags`` IS the LRU order, a hit reinserts at MRU, a
-    miss evicts the head, and any access that raises the dirty count
-    past the high watermark immediately drains the oldest dirty lines
-    to the low watermark (dirty count can only cross the watermark on
-    an increment, so the drain check is needed on those paths only).
-    """
-    vrf = pe.vrf
-    tags = vrf._tags
-    pop = tags.pop
-    cap = vrf.num_registers
-    high = vrf._high
-    low = vrf._low
-    dc = vrf._dirty_count
-    hits = misses = evc = evw = mwb = 0
-    out_lines: List[int] = []
-    out_ops: List[int] = []
-    lapp = out_lines.append
-    oapp = out_ops.append
-    op_store = pe._op_store
-
-    def drain(to_drain: int) -> List[int]:
-        drained: List[int] = []
-        for tagged_line, is_dirty in tags.items():
-            if len(drained) >= to_drain:
-                break
-            if is_dirty:
-                drained.append(tagged_line)
-        for tagged_line in drained:
-            tags[tagged_line] = False
-        return drained
-
-    for line, dm, op in zip(
-        lines.tolist(), dirties.tolist(), emit_ops.tolist()
-    ):
-        d = pop(line, None)
-        if d is not None:
-            hits += 1
-            if d:
-                tags[line] = True
-                continue
-            tags[line] = dm
-            if dm:
-                dc += 1
-                if dc > high:
-                    dr = drain(dc - low)
-                    dc -= len(dr)
-                    mwb += len(dr)
-                    for s in dr:
-                        lapp(s)
-                        oapp(op_store)
-            continue
-        misses += 1
-        if op >= 0:
-            lapp(line)
-            oapp(op)
-        if len(tags) >= cap:
-            evc += 1
-            victim = next(iter(tags))
-            if pop(victim):
-                dc -= 1
-                evw += 1
-                lapp(victim)
-                oapp(op_store)
-        tags[line] = dm
-        if dm:
-            dc += 1
-            if dc > high:
-                dr = drain(dc - low)
-                dc -= len(dr)
-                mwb += len(dr)
-                for s in dr:
-                    lapp(s)
-                    oapp(op_store)
-
-    vrf._dirty_count = dc
-    vrf.tag_hits += hits + skipped_hits
-    vrf.tag_misses += misses
-    vrf.evictions += evc
-    vrf.eviction_writebacks += evw
-    vrf.manager_writebacks += mwb
-    pe._trace.extend(out_lines, out_ops)
-
-
 def buffer_sparse_stream(pe, start_offset: int, nnz: int) -> None:
     """Vectorized Sparse Data Loader: append the tile's r_ids/c_ids/vals
     stream line ranges to the trace buffer as arrays."""
@@ -303,155 +195,18 @@ def buffer_sparse_stream(pe, start_offset: int, nnz: int) -> None:
         buf.extend_range(first, count, op)
 
 
-def generate_spmm_chunk(
-    pe, r_ids: np.ndarray, c_ids: np.ndarray, start_offset: int
-) -> None:
-    """Vectorized twin of ``ProcessingElement.execute_spmm_chunk``.
-
-    Per nonzero the scalar pipeline touches, in order,
-    ``r+0, c+0, r+1, c+1, ...`` for ``lines_per_row`` line pairs; the
-    rMatrix slot is read-modify-write (dirty), the cMatrix slot is
-    read-only.  CSR runs of equal r_id make the rMatrix touches of
-    elided nonzeros guaranteed dirty hits (see module docstring).
-    """
-    n = len(r_ids)
-    buffer_sparse_stream(pe, start_offset, n)
-    lpr = pe.lines_per_row
-    counters = pe.counters
-    counters.tops += n
-    counters.vops += n * lpr
-    pe._rmatrix_rows_touched.update(np.unique(r_ids).tolist())
-    if n == 0:
-        return
-    amap = pe.address_map
-    k = pe.init.dense_row_size
-    r_lines = amap.dense_row_base_lines("rmatrix", r_ids, k)
-    c_lines = amap.dense_row_base_lines("cmatrix", c_ids, k)
-
-    offs = np.arange(lpr, dtype=np.int64)
-    cols = 2 * lpr
-    lines_mat = np.empty((n, cols), dtype=np.int64)
-    lines_mat[:, 0::2] = r_lines[:, None] + offs
-    lines_mat[:, 1::2] = c_lines[:, None] + offs
-    dirty_mat = np.empty((n, cols), dtype=bool)
-    dirty_mat[:, 0::2] = True
-    dirty_mat[:, 1::2] = False
-    ops_mat = np.empty((n, cols), dtype=np.int64)
-    ops_mat[:, 0::2] = pe._op_rmatrix_read
-    ops_mat[:, 1::2] = pe._op_cmatrix_read
-
-    cadence = _elision_cadence(
-        pe.vrf, slots_per_nnz=cols, live_lines=lpr, dirty_live=lpr
-    )
-    skipped = 0
-    if cadence >= 2:
-        keep_r = _run_keep_mask(r_lines, cadence)
-        n_kept = int(keep_r.sum())
-        if n_kept < n:
-            skipped = (n - n_kept) * lpr
-            keep_mat = np.empty((n, cols), dtype=bool)
-            keep_mat[:, 0::2] = keep_r[:, None]
-            keep_mat[:, 1::2] = True
-            _run_vrf_stream(
-                pe,
-                lines_mat[keep_mat],
-                dirty_mat[keep_mat],
-                ops_mat[keep_mat],
-                skipped,
-            )
-            return
-    _run_vrf_stream(
-        pe, lines_mat.ravel(), dirty_mat.ravel(), ops_mat.ravel(), 0
-    )
-
-
-def generate_sddmm_chunk(
-    pe,
-    r_ids: np.ndarray,
-    c_ids: np.ndarray,
-    start_offset: int,
-    out_offsets: np.ndarray,
-) -> None:
-    """Vectorized twin of ``ProcessingElement.execute_sddmm_chunk``.
-
-    Per nonzero: ``lines_per_row`` read-only (r, c) line pairs followed
-    by one write-only output-line touch (dirty, no load on miss).  Both
-    the rMatrix CSR runs and the 16-nonzeros-per-line output runs are
-    elidable.
-    """
-    n = len(r_ids)
-    buffer_sparse_stream(pe, start_offset, n)
-    lpr = pe.lines_per_row
-    counters = pe.counters
-    counters.tops += n
-    counters.vops += n * lpr
-    counters.output_line_writes += n
-    if n == 0:
-        return
-    amap = pe.address_map
-    k = pe.init.dense_row_size
-    r_lines = amap.dense_row_base_lines("rmatrix", r_ids, k)
-    c_lines = amap.dense_row_base_lines("cmatrix", c_ids, k)
-    out_region = amap.regions["sparse_out_vals"]
-    out_base_line = out_region.base // CACHE_LINE_BYTES
-    out_lines = out_base_line + np.asarray(
-        out_offsets, dtype=np.int64
-    ) // _OUT_VALS_PER_LINE
-
-    offs = np.arange(lpr, dtype=np.int64)
-    cols = 2 * lpr + 1
-    lines_mat = np.empty((n, cols), dtype=np.int64)
-    lines_mat[:, 0 : 2 * lpr : 2] = r_lines[:, None] + offs
-    lines_mat[:, 1 : 2 * lpr : 2] = c_lines[:, None] + offs
-    lines_mat[:, -1] = out_lines
-    dirty_mat = np.zeros((n, cols), dtype=bool)
-    dirty_mat[:, -1] = True
-    ops_mat = np.empty((n, cols), dtype=np.int64)
-    ops_mat[:, 0 : 2 * lpr : 2] = pe._op_rmatrix_read
-    ops_mat[:, 1 : 2 * lpr : 2] = pe._op_cmatrix_read
-    ops_mat[:, -1] = _OP_NONE
-
-    cadence = _elision_cadence(
-        pe.vrf, slots_per_nnz=cols, live_lines=lpr + 1, dirty_live=1
-    )
-    skipped = 0
-    if cadence >= 2:
-        keep_r = _run_keep_mask(r_lines, cadence)
-        keep_o = _run_keep_mask(out_lines, cadence)
-        skipped_r = n - int(keep_r.sum())
-        skipped_o = n - int(keep_o.sum())
-        if skipped_r or skipped_o:
-            skipped = skipped_r * lpr + skipped_o
-            keep_mat = np.empty((n, cols), dtype=bool)
-            keep_mat[:, 0 : 2 * lpr : 2] = keep_r[:, None]
-            keep_mat[:, 1 : 2 * lpr : 2] = True
-            keep_mat[:, -1] = keep_o
-            _run_vrf_stream(
-                pe,
-                lines_mat[keep_mat],
-                dirty_mat[keep_mat],
-                ops_mat[keep_mat],
-                skipped,
-            )
-            return
-    _run_vrf_stream(
-        pe, lines_mat.ravel(), dirty_mat.ravel(), ops_mat.ravel(), 0
-    )
-
-
 # -- whole-epoch fused generation ---------------------------------------------
 #
-# The per-chunk path above still walks every kept access through the
-# Python loop in ``_run_vrf_stream``.  The epoch solver below replaces
-# that walk with an offline solve of the *entire epoch's* access stream
-# per PE: hit/miss classification via stack-distance analysis over the
-# fully-associative LRU tag CAM, eviction/victim reconstruction via
+# Instead of walking every access through ``VectorRegisterFile.access``,
+# the epoch solver below solves the *entire epoch's* access stream per
+# PE offline: hit/miss classification via stack-distance analysis over
+# the fully-associative LRU tag CAM, eviction/victim reconstruction via
 # residency periods, and a reduced Python loop that only visits dirty
 # events (dirty touches + dirty-capable evictions) to replay the
 # Write-back Manager exactly.  The emitted trace, counters and final
 # VRF state are bit-identical to the scalar oracle; the solver declines
-# (returns None, caller falls back to the per-chunk walker) on streams
-# whose structure it cannot prove cheap or safe.
+# (returns None, caller falls back to the PE's buffered scalar walker)
+# on streams whose structure it cannot prove cheap or safe.
 
 
 def _solve_vrf_epoch(
@@ -899,8 +654,8 @@ def generate_spmm_epoch(
     ``parts`` lists the epoch's chunks as ``(r_ids, c_ids,
     start_offset)`` in dispatch order.  Returns ``(segments, fused)``
     where ``segments`` bounds each chunk's slice of ``pe._trace`` and
-    ``fused`` reports whether the epoch solver ran (False: per-chunk
-    fallback was used — results are identical either way)."""
+    ``fused`` reports whether the epoch solver ran (False: the scalar
+    walker fallback was used — results are identical either way)."""
     if not parts:
         return [], False
     n_per = [len(p[0]) for p in parts]
@@ -999,7 +754,7 @@ def _epoch_fallback_spmm(pe, parts) -> List[Tuple[int, int]]:
     segs: List[Tuple[int, int]] = []
     for r_ids, c_ids, start_offset in parts:
         s0 = len(buf)
-        generate_spmm_chunk(pe, r_ids, c_ids, start_offset)
+        pe._execute_spmm_chunk_batched(r_ids, c_ids, start_offset)
         segs.append((s0, len(buf)))
     return segs
 
@@ -1163,6 +918,8 @@ def _epoch_fallback_sddmm(pe, parts) -> List[Tuple[int, int]]:
     segs: List[Tuple[int, int]] = []
     for r_ids, c_ids, start_offset, out_offsets in parts:
         s0 = len(buf)
-        generate_sddmm_chunk(pe, r_ids, c_ids, start_offset, out_offsets)
+        pe._execute_sddmm_chunk_batched(
+            r_ids, c_ids, start_offset, out_offsets
+        )
         segs.append((s0, len(buf)))
     return segs

@@ -12,7 +12,7 @@ resilience — *who can fix it*:
 - :class:`WorkloadError` — the kernel operands are wrong (shape
   mismatches, unknown suite benchmark).  Also permanent.
 - :class:`EngineExecutionError` — a run failed *while executing* (e.g.
-  a pipelined generation worker died).  Potentially transient: the run
+  trace generation raised on a chunk).  Potentially transient: the run
   supervisor retries these and degrades the execution backend.
 - :class:`WatchdogTimeout` — a supervised run exceeded its watchdog.
   Transient by classification (the retry may hit a warmer cache or a

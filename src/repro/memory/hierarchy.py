@@ -480,7 +480,7 @@ class MemorySystem:
         stats.dram_reads = self.dram.reads
         stats.dram_writes = self.dram.writes
         stats.stlb_misses = sum(t.misses for t in self.stlbs)
-        stats.by_region = dict(self._region_traffic)
+        stats.by_region = dict(sorted(self._region_traffic.items()))
         stats.flushed_dirty_lines = (
             sum(l1.flush_writebacks for l1 in self.l1s)
             + sum(l2.flush_writebacks for l2 in self.l2s)
@@ -497,7 +497,9 @@ class MemorySystem:
     def state_dict(self) -> dict:
         """Complete hierarchy state for epoch-granular checkpoints:
         every cache's LRU contents and counters, BBF stream buffers,
-        STLB residency, DRAM traffic, and per-region traffic."""
+        STLB residency, DRAM traffic, and per-region traffic.  Regions
+        are emitted in sorted order: the live tally's insertion order
+        follows first traffic, which differs between replay modes."""
         return {
             "l1s": [c.state_dict() for c in self.l1s],
             "bbfs": [b.state_dict() for b in self.bbfs],
@@ -505,7 +507,7 @@ class MemorySystem:
             "stlbs": [t.state_dict() for t in self.stlbs],
             "llc": self.llc.state_dict(),
             "dram": self.dram.state_dict(),
-            "region_traffic": dict(self._region_traffic),
+            "region_traffic": dict(sorted(self._region_traffic.items())),
         }
 
     def load_state_dict(self, state: dict) -> None:

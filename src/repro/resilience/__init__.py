@@ -16,7 +16,7 @@ Three pieces:
 * :mod:`repro.resilience.supervisor` — :class:`RunSupervisor` wraps
   kernel entry points with watchdog timeouts, bounded retry with
   exponential backoff, and a degradation ladder that falls back
-  pipelined → vectorized → scalar, preserving output parity.
+  vectorized → scalar, preserving output parity.
 * :mod:`repro.resilience.chaos` — deterministic fault injection for
   testing the above (worker exceptions, replay delays, truncated
   checkpoints, mid-run crashes), all derived from a seed.

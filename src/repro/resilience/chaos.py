@@ -72,7 +72,7 @@ class ChaosConfig:
     max_worker_faults: Optional[int] = None
     """Total fault budget across the monkey's lifetime; ``None`` is
     unlimited.  A finite budget lets a retry eventually succeed."""
-    fault_backends: Tuple[str, ...] = ("pipelined",)
+    fault_backends: Tuple[str, ...] = ("vectorized",)
     """Execution backends whose workers are eligible to fault."""
     replay_delay_s: float = 0.0
     replay_delay_every: int = 0
@@ -132,7 +132,7 @@ class ChaosMonkey:
     # -- injection points ------------------------------------------------
 
     def worker_fault(
-        self, pe_id: int, chunk_index: int, backend: str = "pipelined"
+        self, pe_id: int, chunk_index: int, backend: str = "vectorized"
     ) -> None:
         """Raise :class:`InjectedFault` if this (pe, chunk) is selected.
 

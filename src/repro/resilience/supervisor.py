@@ -4,7 +4,7 @@
 protection, outermost first:
 
 1. **Degradation ladder** — if the requested backends keep failing,
-   step down the execution ladder (pipelined → vectorized → scalar)
+   step down the execution ladder (vectorized → scalar)
    and the replay ladder (compiled → scalar) in lock-step, each from
    its requested rung.  All backend
    combinations are bit-identical, so degrading changes wall-clock
@@ -44,7 +44,7 @@ from repro.errors import (
 from repro.obs.ledger import NULL_LEDGER
 from repro.telemetry import ensure
 
-DEGRADATION_LADDER: Tuple[str, ...] = ("pipelined", "vectorized", "scalar")
+DEGRADATION_LADDER: Tuple[str, ...] = ("vectorized", "scalar")
 """Backends ordered fastest-first; degradation walks left to right."""
 
 REPLAY_LADDER: Tuple[str, ...] = ("compiled", "scalar")

@@ -1,10 +1,12 @@
-"""Differential check: the whole-epoch VRF solver vs the scalar walker.
+"""Differential check: the whole-epoch VRF solver vs the oracle VRF.
 
 ``_solve_vrf_epoch`` is the fused fast path behind whole-epoch trace
 generation: it resolves an entire epoch's VRF access stream in NumPy
 (hit/miss classification, eviction order, writeback scheduling, trace
-emission) in one shot.  ``_run_vrf_stream`` is the per-access reference
-walker.  The two must agree exactly — emitted trace arrays, all five
+emission) in one shot.  The reference is a loop over
+``VectorRegisterFile.access``, the oracle VRF: a miss emits its line
+when the slot loads (``op >= 0``), then every returned store follows
+as a store op.  The two must agree exactly — emitted trace arrays, all five
 VRF counters, the dirty count, and the *ordered* resident-tag map that
 seeds the next epoch — across multiple warm epochs so carried state is
 covered, not just the cold start.
@@ -20,12 +22,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.vectorized import (
-    _OP_NONE,
-    TraceBuffer,
-    _run_vrf_stream,
-    _solve_vrf_epoch,
-)
+from repro.core.vectorized import _OP_NONE, _solve_vrf_epoch
 from repro.core.vrf import VectorRegisterFile
 
 _OP_STORE = 1000
@@ -40,13 +37,22 @@ _VRF_COUNTERS = (
 )
 
 
-class _StubPE:
-    """Just enough PE surface for ``_run_vrf_stream``."""
-
-    def __init__(self, vrf: VectorRegisterFile) -> None:
-        self.vrf = vrf
-        self._trace = TraceBuffer()
-        self._op_store = _OP_STORE
+def _oracle_stream(vrf: VectorRegisterFile, lines, dirty, emit):
+    """Walk a stream through the oracle VRF, returning the emitted
+    ``(lines, ops)`` in scalar order."""
+    out_lines = []
+    out_ops = []
+    for line, dm, op in zip(lines.tolist(), dirty.tolist(), emit.tolist()):
+        hit, stores = vrf.access(line, mark_dirty=dm)
+        if not hit and op >= 0:
+            out_lines.append(line)
+            out_ops.append(op)
+        out_lines.extend(stores)
+        out_ops.extend([_OP_STORE] * len(stores))
+    return (
+        np.asarray(out_lines, dtype=np.int64),
+        np.asarray(out_ops, dtype=np.int64),
+    )
 
 
 def _random_stream(rng, n, nlines, line_dirty, none_frac=0.1):
@@ -58,18 +64,13 @@ def _random_stream(rng, n, nlines, line_dirty, none_frac=0.1):
 
 
 def _check_epochs(streams, cap, label):
-    """Feed the same epoch streams through walker and solver, asserting
+    """Feed the same epoch streams through oracle and solver, asserting
     bitwise agreement after every epoch (so carried VRF state between
     epochs is exercised, not just the cold start)."""
     vrf_oracle = VectorRegisterFile(cap, 0.25, 0.15)
     vrf_solver = VectorRegisterFile(cap, 0.25, 0.15)
-    pe = _StubPE(vrf_oracle)
     for ep, (lines, dirty, emit) in enumerate(streams):
-        pe._trace.clear()
-        _run_vrf_stream(pe, lines, dirty, emit, 0)
-        want_lines, want_ops = pe._trace.views()
-        want_lines = want_lines.copy()
-        want_ops = want_ops.copy()
+        want_lines, want_ops = _oracle_stream(vrf_oracle, lines, dirty, emit)
 
         sol = _solve_vrf_epoch(
             cap,

@@ -1,12 +1,13 @@
-"""Differential parity: vectorized/pipelined execution vs the scalar oracle.
+"""Differential parity: vectorized execution vs the scalar oracle.
 
-The vectorized backend derives the post-VRF trace with NumPy plus
-protected-run elision, and the pipelined backend additionally overlaps
-generation with replay.  Both must be *bit-identical* to the scalar
-per-nonzero oracle on every observable: the emitted trace (content and
-order), numeric outputs, simulated time, AccessStats, per-epoch
-PECounters, and the VRF's own hit/miss/writeback counters (elision
-bulk-credits skipped hits, so these pin that accounting too).
+The vectorized backend derives each PE's whole-epoch post-VRF trace
+with NumPy plus protected-run elision and solves it offline; when the
+solver declines a stream it falls back to the PE's buffered scalar
+walker.  Both paths must be *bit-identical* to the scalar per-nonzero
+oracle on every observable: the emitted trace (content and order),
+numeric outputs, simulated time, AccessStats, per-epoch PECounters,
+and the VRF's own hit/miss/writeback counters (elision bulk-credits
+skipped hits, so these pin that accounting too).
 """
 
 from __future__ import annotations
@@ -17,7 +18,8 @@ from typing import List, Optional
 import numpy as np
 import pytest
 
-from repro.config import PipelineConfig, scaled_config
+import repro.core.vectorized as vectorized
+from repro.config import scaled_config
 from repro.core.accelerator import KernelSettings, SpadeSystem
 from repro.core.bypass import BypassPolicy
 from repro.core.cpe import ScheduleParams
@@ -26,8 +28,6 @@ from repro.core.instructions import Primitive
 from repro.memory.hierarchy import TRACE_REGIONS, MemorySystem
 from repro.sparse.generators import rmat_graph, uniform_random
 from repro.sparse.tiled import tile_matrix
-
-MODES = ("vectorized", "pipelined")
 
 
 def _run_engine(
@@ -38,14 +38,11 @@ def _run_engine(
     replay: str,
     settings: Optional[KernelSettings] = None,
     chunk_nnz: int = 256,
-    pipeline: Optional[PipelineConfig] = None,
 ):
     """Build an Engine directly (so PEs stay reachable) and run once."""
     cfg = dataclasses.replace(
         scaled_config(4, cache_shrink=8), execution=execution, replay=replay
     )
-    if pipeline is not None:
-        cfg = dataclasses.replace(cfg, pipeline=pipeline)
     settings = settings or KernelSettings.base()
     system = SpadeSystem(cfg, chunk_nnz=chunk_nnz)
     tiled = tile_matrix(
@@ -110,15 +107,76 @@ def _assert_same(a, k, kernel, replay, settings=None, chunk_nnz=256):
     eng_o, res_o, out_o = _run_engine(
         a, k, kernel, "scalar", replay, settings, chunk_nnz
     )
-    fp_o = _fingerprint(eng_o, res_o, out_o)
-    for mode in MODES:
-        eng_m, res_m, out_m = _run_engine(
-            a, k, kernel, mode, replay, settings, chunk_nnz
-        )
-        assert np.array_equal(out_o, out_m), f"{mode}: output diverged"
-        assert _fingerprint(eng_m, res_m, out_m) == fp_o, (
-            f"{mode}: state fingerprint diverged"
-        )
+    eng_v, res_v, out_v = _run_engine(
+        a, k, kernel, "vectorized", replay, settings, chunk_nnz
+    )
+    assert np.array_equal(out_o, out_v), "output diverged"
+    assert _fingerprint(eng_v, res_v, out_v) == _fingerprint(
+        eng_o, res_o, out_o
+    ), "state fingerprint diverged"
+
+
+def _decline_solver(monkeypatch) -> List[int]:
+    """Make the epoch solver decline every stream, so each epoch runs
+    the scalar-walker fallback.  Returns the list of declines."""
+    declines: List[int] = []
+
+    def decline(*args, **kwargs):
+        declines.append(1)
+        return None
+
+    monkeypatch.setattr(vectorized, "_solve_vrf_epoch", decline)
+    return declines
+
+
+def _trace_stream(monkeypatch, a, kernel, execution, replay) -> List:
+    """The per-access stream one run hands the memory system, in call
+    order.
+
+    Compiled replay: every ``replay_trace`` call flattened to
+    ``(pe_id, line, op)``.  The fused driver may merge consecutive
+    same-PE chunks into one call (coalesced dispatch), so call
+    boundaries are not an observable; the per-access sequence is —
+    shared levels (L2/STLB/LLC/DRAM) see exactly this interleaving.
+    Scalar replay: every ``dense_access``/``stream_access`` call, which
+    the oracle issues directly and the vectorized backend issues by
+    flushing its trace through ``replay_trace_scalar``.
+    """
+    calls: List = []
+    with monkeypatch.context() as mp:
+        if replay == "compiled":
+            orig = MemorySystem.replay_trace
+
+            def cap(self, pe_id, lines, ops, region_names=TRACE_REGIONS):
+                calls.extend(
+                    (pe_id, ln, op)
+                    for ln, op in zip(
+                        np.array(lines).tolist(), np.array(ops).tolist()
+                    )
+                )
+                return orig(self, pe_id, lines, ops, region_names)
+
+            mp.setattr(MemorySystem, "replay_trace", cap)
+        else:
+            d_orig = MemorySystem.dense_access
+            s_orig = MemorySystem.stream_access
+
+            def dense(self, pe_id, line, is_write=False, bypass=False,
+                      region=None):
+                calls.append(
+                    ("dense", pe_id, line, bool(is_write), bool(bypass),
+                     region)
+                )
+                return d_orig(self, pe_id, line, is_write, bypass, region)
+
+            def stream(self, pe_id, line, is_write=False, region=None):
+                calls.append(("stream", pe_id, line, bool(is_write), region))
+                return s_orig(self, pe_id, line, is_write, region)
+
+            mp.setattr(MemorySystem, "dense_access", dense)
+            mp.setattr(MemorySystem, "stream_access", stream)
+        _run_engine(a, 16, kernel, execution, replay)
+    return calls
 
 
 @pytest.fixture(scope="module")
@@ -134,12 +192,31 @@ def rect():
 class TestExecutionParity:
     # Compiled replay hands each chunk to the kernel in one batch; its
     # ids say ``batched``, against the per-access ``scalar`` oracle.
+    # The fused solver keeps the bare ids; ``declined`` makes the
+    # solver decline every epoch, so generation runs the fallback.
     @pytest.mark.parametrize(
-        "replay", ["scalar", "compiled"], ids=["scalar", "batched"]
+        "replay,solver",
+        [
+            ("scalar", "fused"),
+            ("compiled", "fused"),
+            ("scalar", "declined"),
+            ("compiled", "declined"),
+        ],
+        ids=["scalar", "batched", "scalar-declined", "batched-declined"],
     )
     @pytest.mark.parametrize("kernel", ["spmm", "sddmm"])
-    def test_modes_bit_identical(self, graph, kernel, replay):
+    def test_modes_bit_identical(
+        self, graph, kernel, replay, solver, monkeypatch
+    ):
+        if solver == "fused":
+            _assert_same(graph, 16, kernel, replay)
+            return
+        declines = _decline_solver(monkeypatch)
         _assert_same(graph, 16, kernel, replay)
+        assert declines, "the solver was never consulted"
+        assert _trace_stream(
+            monkeypatch, graph, kernel, "vectorized", replay
+        ) == _trace_stream(monkeypatch, graph, kernel, "scalar", replay)
 
     def test_rmatrix_bypass(self, rect):
         _assert_same(
@@ -182,109 +259,21 @@ class TestExecutionParity:
         _assert_same(rect, 16, "spmm", "compiled", chunk_nnz=17)
 
 
-class TestPipelineVariants:
-    @pytest.mark.parametrize(
-        "pipeline",
-        [
-            PipelineConfig(lookahead=1, pool="thread", workers=1),
-            PipelineConfig(lookahead=4, pool="thread", workers=4),
-            PipelineConfig(lookahead=1, pool="serial"),
-            PipelineConfig(lookahead=3, pool="serial"),
-        ],
-        ids=["thread-la1", "thread-la4", "serial-la1", "serial-la3"],
-    )
-    def test_pipeline_config_parity(self, graph, pipeline):
-        eng_o, res_o, out_o = _run_engine(
-            graph, 16, "sddmm", "scalar", "compiled"
-        )
-        fp_o = _fingerprint(eng_o, res_o, out_o)
-        eng_p, res_p, out_p = _run_engine(
-            graph, 16, "sddmm", "pipelined", "compiled", pipeline=pipeline
-        )
-        assert np.array_equal(out_o, out_p)
-        assert _fingerprint(eng_p, res_p, out_p) == fp_o
-
-
 class TestTraceParity:
     """The traces themselves — content *and* order — must match."""
-
-    @staticmethod
-    def _capture_chunks(monkeypatch):
-        chunks: List = []
-        orig = MemorySystem.replay_trace
-
-        def cap(self, pe_id, lines, ops, region_names=TRACE_REGIONS):
-            chunks.append(
-                (pe_id, np.array(lines).tolist(), np.array(ops).tolist())
-            )
-            return orig(self, pe_id, lines, ops, region_names)
-
-        monkeypatch.setattr(MemorySystem, "replay_trace", cap)
-        return chunks
-
-    @staticmethod
-    def _capture_accesses(monkeypatch):
-        calls: List = []
-        d_orig = MemorySystem.dense_access
-        s_orig = MemorySystem.stream_access
-
-        def dense(self, pe_id, line, is_write=False, bypass=False,
-                  region=None):
-            calls.append(
-                ("dense", pe_id, line, bool(is_write), bool(bypass), region)
-            )
-            return d_orig(self, pe_id, line, is_write, bypass, region)
-
-        def stream(self, pe_id, line, is_write=False, region=None):
-            calls.append(("stream", pe_id, line, bool(is_write), region))
-            return s_orig(self, pe_id, line, is_write, region)
-
-        monkeypatch.setattr(MemorySystem, "dense_access", dense)
-        monkeypatch.setattr(MemorySystem, "stream_access", stream)
-        return calls
-
-    @staticmethod
-    def _flatten(chunks) -> List:
-        # The fused drivers may merge consecutive same-PE replay calls
-        # into one (coalesced dispatch), so per-call boundaries are not
-        # an observable.  The per-access (pe_id, line, op) sequence in
-        # call order *is*: shared levels (L2/STLB/LLC/DRAM) see exactly
-        # this interleaving, so it must match the oracle bit-for-bit.
-        flat: List = []
-        for pe_id, lines, ops in chunks:
-            flat.extend(zip([pe_id] * len(lines), lines, ops))
-        return flat
 
     @pytest.mark.parametrize("kernel", ["spmm", "sddmm"])
     def test_batched_chunk_stream_identical(
         self, graph, kernel, monkeypatch
     ):
-        streams = {}
-        for mode in ("scalar",) + MODES:
-            with monkeypatch.context() as mp:
-                chunks = self._capture_chunks(mp)
-                _run_engine(graph, 16, kernel, mode, "compiled")
-                streams[mode] = self._flatten(chunks)
-        for mode in MODES:
-            assert streams[mode] == streams["scalar"], (
-                f"{mode}: replay access stream diverged"
-            )
+        assert _trace_stream(
+            monkeypatch, graph, kernel, "vectorized", "compiled"
+        ) == _trace_stream(monkeypatch, graph, kernel, "scalar", "compiled")
 
     @pytest.mark.parametrize("kernel", ["spmm", "sddmm"])
     def test_scalar_replay_access_stream_identical(
         self, rect, kernel, monkeypatch
     ):
-        # With replay="scalar" the oracle issues accesses directly while
-        # the vectorized backends flush their derived trace through
-        # replay_trace_scalar — the resulting per-access call sequences
-        # must be indistinguishable.
-        streams = {}
-        for mode in ("scalar",) + MODES:
-            with monkeypatch.context() as mp:
-                calls = self._capture_accesses(mp)
-                _run_engine(rect, 16, kernel, mode, "scalar")
-                streams[mode] = calls
-        for mode in MODES:
-            assert streams[mode] == streams["scalar"], (
-                f"{mode}: access stream diverged"
-            )
+        assert _trace_stream(
+            monkeypatch, rect, kernel, "vectorized", "scalar"
+        ) == _trace_stream(monkeypatch, rect, kernel, "scalar", "scalar")

@@ -8,8 +8,8 @@ loudly here, and because ONE golden file serves BOTH replay modes,
 these tests also pin the bit-identical equivalence guarantee end to
 end.  A second fixture family (``fingerprint_*.json``) freezes the full
 EngineResult surface — simulated time, epoch count, merged PECounters
-and an output digest — and holds ALL THREE execution backends (scalar,
-vectorized, pipelined) crossed with BOTH replay backends to it.
+and an output digest — and holds BOTH execution backends (scalar,
+vectorized) crossed with BOTH replay backends to it.
 
 Regenerate after an intentional model change (from the repo root)::
 

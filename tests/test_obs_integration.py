@@ -99,14 +99,11 @@ class TestRunLifecycle:
         assert ckpts
         assert all(e["wall_s"] >= 0 for e in ckpts)
 
-    def test_pipelined_run_audits_and_times_phases(
-        self, tmp_path, workload
-    ):
-        _, events = run_with_ledger(
-            tmp_path, workload, execution="pipelined"
-        )
+    def test_scalar_run_times_phases(self, tmp_path, workload):
+        _, events = run_with_ledger(tmp_path, workload, execution="scalar")
         epochs = [e for e in events if e["e"] == "epoch"]
         assert epochs and all(e["replay_s"] >= 0 for e in epochs)
+        assert all(e["fused_chunks"] == 0 for e in epochs)
 
 
 class TestResilienceEvents:
@@ -142,7 +139,7 @@ class TestResilienceEvents:
         ledger = RunLedger(tmp_path / "d.jsonl", validate=True)
         monkey = ChaosMonkey(
             ChaosConfig(
-                worker_fault_rate=1.0, fault_backends=("pipelined",)
+                worker_fault_rate=1.0, fault_backends=("vectorized",)
             )
         )
         sup = RunSupervisor(
@@ -151,14 +148,14 @@ class TestResilienceEvents:
             sleep=lambda s: None,
             ledger=ledger,
         )
-        cfg = compiled_config(execution="pipelined")
+        cfg = compiled_config(execution="vectorized")
         sup.run_kernel(cfg, "spmm", a, b)
         ledger.close()
         events = read_events(ledger.path)
         degr = [e for e in events if e["e"] == "degradation"]
         assert len(degr) == 1
-        assert degr[0]["from_execution"] == "pipelined"
-        assert degr[0]["to_execution"] == "vectorized"
+        assert degr[0]["from_execution"] == "vectorized"
+        assert degr[0]["to_execution"] == "scalar"
         assert "fault" in degr[0]["cause"] or degr[0]["cause"]
         end = [e for e in events if e["e"] == "run_end"][-1]
         assert end["status"] == "ok"

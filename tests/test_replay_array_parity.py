@@ -16,7 +16,7 @@ Two layers:
   op traces at tiny, L1-resident, L2-resident, and DRAM-heavy
   footprints.
 * **End-to-end kernels** — SpMM and SDDMM through ``SpadeSystem`` on
-  all execution backends (scalar, vectorized, pipelined), with bypass
+  both execution backends (scalar, vectorized), with bypass
   on/off and a barrier-heavy schedule, comparing the full stats
   surface plus an output digest.
 """
@@ -171,7 +171,7 @@ def test_replay_modes_identical_end_to_end(
 
 
 @pytest.mark.parametrize(
-    "execution", ["scalar", "vectorized", "pipelined"]
+    "execution", ["scalar", "vectorized"]
 )
 @pytest.mark.parametrize("kernel", ["spmm", "sddmm"])
 def test_array_replay_under_all_execution_backends(

@@ -23,7 +23,7 @@ from repro.resilience import (
 )
 from repro.sparse.generators import rmat_graph
 
-BACKENDS = ("scalar", "vectorized", "pipelined")
+BACKENDS = ("scalar", "vectorized")
 
 MULTI_EPOCH_SETTINGS = KernelSettings(
     row_panel_size=32, col_panel_size=64, use_barriers=True
@@ -186,7 +186,7 @@ class TestCheckpointFiles:
     def test_fingerprint_ignores_backend_and_resilience(self, base_config):
         fp = checkpoint_fingerprint(base_config)
         variants = [
-            dataclasses.replace(base_config, execution="pipelined"),
+            dataclasses.replace(base_config, execution="scalar"),
             dataclasses.replace(base_config, replay="scalar"),
             dataclasses.replace(
                 base_config,
@@ -232,11 +232,11 @@ class TestKillAndResume:
     def test_cross_backend_resume(
         self, tmp_path, workload, base_config, golden
     ):
-        """A checkpoint written by a pipelined run resumes under the
+        """A checkpoint written by a vectorized run resumes under the
         scalar backend (what the degradation ladder relies on)."""
         a, b, _ = workload
         cfg = self._with_resilience(
-            base_config, "pipelined", checkpoint_dir=str(tmp_path)
+            base_config, "vectorized", checkpoint_dir=str(tmp_path)
         )
         monkey = ChaosMonkey(ChaosConfig(kill_after_epoch=1))
         with pytest.raises(InjectedCrash):

@@ -146,29 +146,31 @@ class TestWatchdog:
 
 class TestDegradationLadder:
     def test_ladder_order(self):
-        assert DEGRADATION_LADDER == ("pipelined", "vectorized", "scalar")
+        assert DEGRADATION_LADDER == ("vectorized", "scalar")
         assert REPLAY_LADDER == ("compiled", "scalar")
 
-    def test_pipelined_faults_degrade_to_vectorized(
+    def test_vectorized_faults_degrade_to_scalar(
         self, workload, base_config, scalar_oracle
     ):
         a, b = workload
         telemetry = Telemetry(TelemetryConfig(metrics=True))
         monkey = ChaosMonkey(
-            ChaosConfig(worker_fault_rate=1.0, fault_backends=("pipelined",))
+            ChaosConfig(
+                worker_fault_rate=1.0, fault_backends=("vectorized",)
+            )
         )
         sup = make_supervisor(
             chaos=monkey, telemetry=telemetry,
             max_retries=1, backoff_base_s=0.0,
         )
-        cfg = dataclasses.replace(base_config, execution="pipelined")
+        cfg = dataclasses.replace(base_config, execution="vectorized")
         report = sup.run_kernel(cfg, "spmm", a, b)
         outcome = sup.last_outcome
-        assert outcome.backend == "vectorized"
+        assert outcome.backend == "scalar"
         assert outcome.degraded
         assert outcome.degradations == 1
-        # pipelined: initial + 1 retry failed -> one of those retries
-        # is counted; then vectorized succeeds first try.
+        # vectorized: initial + 1 retry failed -> one of those retries
+        # is counted; then scalar succeeds first try.
         assert outcome.retries == 1
         np.testing.assert_array_equal(report.output, scalar_oracle.output)
         assert report.time_ns == scalar_oracle.time_ns
@@ -183,28 +185,30 @@ class TestDegradationLadder:
         monkey = ChaosMonkey(
             ChaosConfig(
                 worker_fault_rate=1.0,
-                fault_backends=("pipelined", "vectorized"),
+                fault_backends=DEGRADATION_LADDER[:-1],
             )
         )
         sup = make_supervisor(chaos=monkey, backoff_base_s=0.0)
-        cfg = dataclasses.replace(base_config, execution="pipelined")
+        cfg = dataclasses.replace(
+            base_config, execution=DEGRADATION_LADDER[0]
+        )
         report = sup.run_kernel(cfg, "spmm", a, b)
         assert sup.last_outcome.backend == "scalar"
-        assert sup.last_outcome.degradations == 2
+        assert sup.last_outcome.degradations == len(DEGRADATION_LADDER) - 1
         np.testing.assert_array_equal(report.output, scalar_oracle.output)
 
     def test_degrade_disabled_raises_instead(self, workload, base_config):
         a, b = workload
         monkey = ChaosMonkey(
-            ChaosConfig(worker_fault_rate=1.0, fault_backends=("pipelined",))
+            ChaosConfig(worker_fault_rate=1.0, fault_backends=("vectorized",))
         )
         sup = make_supervisor(
             chaos=monkey, degrade=False, backoff_base_s=0.0
         )
-        cfg = dataclasses.replace(base_config, execution="pipelined")
+        cfg = dataclasses.replace(base_config, execution="vectorized")
         with pytest.raises(EngineExecutionError):
             sup.run_kernel(cfg, "spmm", a, b)
-        assert sup.last_outcome.backend == "pipelined"
+        assert sup.last_outcome.backend == "vectorized"
         assert not sup.last_outcome.degradations
 
     def test_fault_budget_lets_retry_succeed_on_same_rung(
@@ -215,15 +219,15 @@ class TestDegradationLadder:
             ChaosConfig(
                 worker_faults=((0, 0),),
                 max_worker_faults=1,
-                fault_backends=("pipelined",),
+                fault_backends=("vectorized",),
             )
         )
         sup = make_supervisor(
             chaos=monkey, max_retries=2, backoff_base_s=0.0
         )
-        cfg = dataclasses.replace(base_config, execution="pipelined")
+        cfg = dataclasses.replace(base_config, execution="vectorized")
         report = sup.run_kernel(cfg, "spmm", a, b)
-        assert sup.last_outcome.backend == "pipelined"
+        assert sup.last_outcome.backend == "vectorized"
         assert not sup.last_outcome.degraded
         assert sup.last_outcome.retries == 1
         np.testing.assert_array_equal(report.output, scalar_oracle.output)
@@ -281,10 +285,10 @@ class TestErrorTaxonomy:
         a, b = workload
         monkey = ChaosMonkey(
             ChaosConfig(
-                worker_faults=((0, 0),), fault_backends=("pipelined",)
+                worker_faults=((0, 0),), fault_backends=("vectorized",)
             )
         )
-        cfg = dataclasses.replace(base_config, execution="pipelined")
+        cfg = dataclasses.replace(base_config, execution="vectorized")
         with pytest.raises(EngineExecutionError) as excinfo:
             SpadeSystem(cfg, chaos=monkey).spmm(a, b)
         err = excinfo.value
@@ -299,10 +303,10 @@ class TestErrorTaxonomy:
         a, b = workload
         monkey = ChaosMonkey(
             ChaosConfig(
-                worker_faults=((0, 0),), fault_backends=("vectorized",)
+                worker_faults=((0, 0),), fault_backends=("scalar",)
             )
         )
-        cfg = dataclasses.replace(base_config, execution="vectorized")
+        cfg = dataclasses.replace(base_config, execution="scalar")
         with pytest.raises(EngineExecutionError) as excinfo:
             SpadeSystem(cfg, chaos=monkey).spmm(a, b)
         assert excinfo.value.pe_id == 0
@@ -348,16 +352,15 @@ class TestCombinedReplayLadder:
 
     def test_rungs_from_the_top(self):
         sup = make_supervisor()
-        assert sup._ladder("pipelined", "compiled") == (
-            ("pipelined", "compiled"),
-            ("vectorized", "scalar"),
+        assert sup._ladder("vectorized", "compiled") == (
+            ("vectorized", "compiled"),
             ("scalar", "scalar"),
         )
 
     def test_rungs_from_the_middle(self):
         sup = make_supervisor()
-        assert sup._ladder("vectorized", "compiled") == (
-            ("vectorized", "compiled"),
+        assert sup._ladder("vectorized", "scalar") == (
+            ("vectorized", "scalar"),
             ("scalar", "scalar"),
         )
 
@@ -367,16 +370,12 @@ class TestCombinedReplayLadder:
             ("scalar", "compiled"),
             ("scalar", "scalar"),
         )
-        assert sup._ladder("pipelined", "scalar") == (
-            ("pipelined", "scalar"),
-            ("vectorized", "scalar"),
-            ("scalar", "scalar"),
-        )
+        assert sup._ladder("scalar", "scalar") == (("scalar", "scalar"),)
 
     def test_degrade_disabled_keeps_one_rung(self):
         sup = make_supervisor(degrade=False)
-        assert sup._ladder("pipelined", "compiled") == (
-            ("pipelined", "compiled"),
+        assert sup._ladder("vectorized", "compiled") == (
+            ("vectorized", "compiled"),
         )
 
     def test_outcome_degraded_when_only_replay_stepped(self):
@@ -394,15 +393,15 @@ class TestCombinedReplayLadder:
     ):
         a, b = workload
         monkey = ChaosMonkey(
-            ChaosConfig(worker_fault_rate=1.0, fault_backends=("pipelined",))
+            ChaosConfig(worker_fault_rate=1.0, fault_backends=("vectorized",))
         )
         sup = make_supervisor(chaos=monkey, backoff_base_s=0.0)
         cfg = dataclasses.replace(
-            base_config, execution="pipelined", replay="compiled"
+            base_config, execution="vectorized", replay="compiled"
         )
         report = sup.run_kernel(cfg, "spmm", a, b)
         outcome = sup.last_outcome
-        assert outcome.backend == "vectorized"
+        assert outcome.backend == "scalar"
         assert outcome.replay == "scalar"
         assert outcome.requested_replay == "compiled"
         assert outcome.degraded

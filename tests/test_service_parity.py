@@ -88,6 +88,13 @@ class TestServedBytesEqualCli:
         assert rendered == expected
         assert pool.executed == 1
 
+    def test_unknown_execution_mode_is_a_400(self, stack):
+        _, pool, service = stack
+        reply = _answer(service, {**POINT_ARGS, "execution": "pipelined"})
+        assert reply.status == 400
+        assert "('scalar', 'vectorized')" in reply.payload["error"]
+        assert pool.executed == 0
+
     def test_warm_memo_matches_and_skips_execution(
         self, stack, tmp_path, capsys
     ):

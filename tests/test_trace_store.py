@@ -22,6 +22,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.core.vectorized as vectorized
 from repro.config import ResilienceConfig, scaled_config
 from repro.core.accelerator import KernelSettings, SpadeSystem
 from repro.memory.trace_store import (
@@ -41,7 +42,7 @@ def _workload(nnz: int = 30_000, num_rows: int = 1024, seed: int = 3):
     return a, b, c
 
 
-def _run(a, b, c, store=None, execution="pipelined", replay="compiled",
+def _run(a, b, c, store=None, execution="vectorized", replay="compiled",
          cache_shrink=8.0, chunk_nnz=8192):
     cfg = dataclasses.replace(
         scaled_config(4, cache_shrink=cache_shrink),
@@ -149,7 +150,7 @@ class TestTraceStoreUnit:
 
 
 class TestEngineTraceCacheParity:
-    @pytest.mark.parametrize("execution", ["vectorized", "pipelined"])
+    @pytest.mark.parametrize("execution", ["vectorized"])
     def test_cold_warm_and_plain_bit_identical(self, tmp_path, execution):
         a, b, c = _workload()
         cold, cc = _run(a, b, c, TraceStore(tmp_path), execution)
@@ -160,6 +161,23 @@ class TestEngineTraceCacheParity:
         assert cw["gen_invocations"] == 0, cw
         assert cw["misses"] == 0 and cw["hits"] >= 1
         assert _facts(cold) == _facts(warm) == _facts(plain)
+
+    def test_solver_declined_cold_warm_and_live_bit_identical(
+        self, tmp_path, monkeypatch
+    ):
+        """Epochs generated by the scalar-walker fallback store and
+        replay like solved ones."""
+        monkeypatch.setattr(
+            vectorized, "_solve_vrf_epoch", lambda *args: None
+        )
+        a, b, c = _workload()
+        cold, cc = _run(a, b, c, TraceStore(tmp_path))
+        warm, cw = _run(a, b, c, TraceStore(tmp_path))
+        live, cl = _run(a, b, c, None)
+        assert cc["stored"] >= 1 and cc["fused_chunks"] == 0, cc
+        assert cw["gen_invocations"] == 0 and cw["hits"] >= 1, cw
+        assert cl["gen_invocations"] > 0 and cl["fused_chunks"] == 0, cl
+        assert _facts(cold) == _facts(warm) == _facts(live)
 
     def test_scalar_never_probes_the_store(self, tmp_path):
         a, b, c = _workload(nnz=5_000)
@@ -172,11 +190,14 @@ class TestEngineTraceCacheParity:
         assert len(store) == 0
 
     def test_shared_across_execution_modes(self, tmp_path):
+        """The key excludes the execution mode: a warm run replays the
+        stored trace and matches the scalar oracle's live run."""
         a, b, c = _workload()
-        cold, _ = _run(a, b, c, TraceStore(tmp_path), "pipelined")
+        _run(a, b, c, TraceStore(tmp_path), "vectorized")
         warm, cw = _run(a, b, c, TraceStore(tmp_path), "vectorized")
+        oracle, _ = _run(a, b, c, TraceStore(tmp_path), "scalar")
         assert cw["gen_invocations"] == 0 and cw["hits"] >= 1
-        assert _facts(cold) == _facts(warm)
+        assert _facts(warm) == _facts(oracle)
 
     def test_shared_across_replay_backends(self, tmp_path):
         a, b, c = _workload()
